@@ -1,10 +1,23 @@
 """Pure-Python NIST P-256 group arithmetic (fallback backend).
 
-Jacobian-coordinate group law, a width-4 fixed-base table for multiples
-of the generator, and width-5 wNAF for arbitrary points. Mathematically
-correct but makes no attempt at constant-time execution; the compiled
-kernel in ``tmisim._speedups`` is the fast path and this module is what
-the package falls back to when that extension is unavailable.
+Jacobian coordinates with the a = -3 formulas from the Explicit-Formulas
+Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
+
+- ``base_mult`` uses a signed 6-bit fixed-base table: row ``i`` holds
+  ``j * 64**i * G`` for ``j = 1..32`` in affine form, so a scalar costs
+  one mixed addition per nonzero signed digit and no doublings.
+- ``scalar_mult`` and ``double_base_mult`` share one wNAF loop: width 7
+  over a table of G's odd multiples, width 5 over the odd multiples of
+  the input point, which are converted to affine with one inversion per
+  call, so every addition is a mixed addition.
+- Inversions use ``pow(z, -1, P)``; a Montgomery batch inversion turns
+  each precomputed table into affine points with one inversion.
+
+The two generator tables are built lazily, once per process; nothing
+else persists between calls. Mathematically correct but makes no attempt
+at constant-time execution; the compiled kernel in ``tmisim._speedups``
+is the fast path and this module is what the package falls back to when
+that extension is unavailable.
 
 Points cross this API as affine ``(x, y)`` integer pairs; ``None``
 stands for the point at infinity (callers in this package never feed
@@ -21,6 +34,12 @@ GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 
 _INF = (0, 1, 0)  # Jacobian point at infinity (Z == 0)
 
+# A reduced scalar is below 2**256, so its top 6-bit window holds at most
+# 15 and the signed recoding never carries past row 42: 43 rows suffice.
+_COMB_ROWS = 43
+_G_WIDTH = 7  # wNAF width for G: 32 precomputed odd multiples
+_P_WIDTH = 5  # wNAF width for other points: 8 odd multiples per call
+
 
 def is_on_curve(x, y):
     if not (0 <= x < P and 0 <= y < P):
@@ -28,7 +47,12 @@ def is_on_curve(x, y):
     return (y * y - (x * x * x - 3 * x + B)) % P == 0
 
 
-# ── Jacobian group law (a = -3 formulas) ────────────────────────────────
+# ── Jacobian group law (a = -3), for table builds and rare cases ────────
+#
+# The hot loops below inline the same formulas. Their invariant: the
+# point at infinity always has X == 0 (it is _INF, or a doubling of it),
+# so a mixed addition sees H == 0 exactly when the accumulator is at
+# infinity or equals the addend up to sign, and defers to _add_mixed.
 
 def _dbl(X1, Y1, Z1):
     if Z1 == 0 or Y1 == 0:
@@ -38,155 +62,182 @@ def _dbl(X1, Y1, Z1):
     beta = X1 * gamma % P
     alpha = 3 * (X1 - delta) * (X1 + delta) % P
     X3 = (alpha * alpha - 8 * beta) % P
-    Z3 = ((Y1 + Z1) * (Y1 + Z1) - gamma - delta) % P
     Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % P
-    return X3, Y3, Z3
-
-
-def _add(X1, Y1, Z1, X2, Y2, Z2):
-    if Z1 == 0:
-        return X2, Y2, Z2
-    if Z2 == 0:
-        return X1, Y1, Z1
-    Z1Z1 = Z1 * Z1 % P
-    Z2Z2 = Z2 * Z2 % P
-    U1 = X1 * Z2Z2 % P
-    U2 = X2 * Z1Z1 % P
-    S1 = Y1 * Z2 * Z2Z2 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    if U1 == U2:
-        if S1 != S2:
-            return _INF
-        return _dbl(X1, Y1, Z1)
-    H = (U2 - U1) % P
-    I = 4 * H * H % P
-    J = H * I % P
-    r = 2 * (S2 - S1) % P
-    V = U1 * I % P
-    X3 = (r * r - J - 2 * V) % P
-    Y3 = (r * (V - X3) - 2 * S1 * J) % P
-    Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1Z1 - Z2Z2) * H % P
-    return X3, Y3, Z3
+    return X3, Y3, 2 * Y1 * Z1 % P
 
 
 def _add_mixed(X1, Y1, Z1, x2, y2):
-    # Z2 == 1
+    # madd-2004-hmv with Z2 == 1
     if Z1 == 0:
         return x2, y2, 1
-    Z1Z1 = Z1 * Z1 % P
-    U2 = x2 * Z1Z1 % P
-    S2 = y2 * Z1 * Z1Z1 % P
-    if U2 == X1:
-        if S2 != Y1:
-            return _INF
-        return _dbl(X1, Y1, Z1)
-    H = (U2 - X1) % P
+    ZZ = Z1 * Z1 % P
+    H = (x2 * ZZ - X1) % P
+    R = (y2 * ZZ % P * Z1 - Y1) % P
+    if H == 0:
+        return _dbl(X1, Y1, Z1) if R == 0 else _INF
     HH = H * H % P
-    I = 4 * HH % P
-    J = H * I % P
-    r = 2 * (S2 - Y1) % P
-    V = X1 * I % P
-    X3 = (r * r - J - 2 * V) % P
-    Y3 = (r * (V - X3) - 2 * Y1 * J) % P
-    Z3 = ((Z1 + H) * (Z1 + H) - Z1Z1 - HH) % P
-    return X3, Y3, Z3
+    HHH = HH * H % P
+    V = X1 * HH % P
+    X3 = (R * R - HHH - 2 * V) % P
+    Y3 = (R * (V - X3) - Y1 * HHH) % P
+    return X3, Y3, Z1 * H % P
 
 
 def _to_affine(X, Y, Z):
     if Z == 0:
         return None
-    zi = pow(Z, P - 2, P)
+    zi = pow(Z, -1, P)
     zi2 = zi * zi % P
-    return X * zi2 % P, Y * zi2 * zi % P
+    return X * zi2 % P, Y * zi2 % P * zi % P
 
 
-# ── Fixed-base table: 64 windows of 4 bits, entries in affine form ──────
-
-_table = None
-
-
-def _build_table():
-    rows_jac = []
-    win = (GX, GY, 1)
-    for _ in range(64):
-        row = []
-        cur = _INF
-        for _ in range(15):
-            cur = _add(cur[0], cur[1], cur[2], win[0], win[1], win[2])
-            row.append(cur)
-        rows_jac.append(row)
-        for _ in range(4):
-            win = _dbl(*win)
-    # batch-invert all Z coordinates (Montgomery trick)
-    flat = [pt for row in rows_jac for pt in row]
-    zs = [pt[2] for pt in flat]
-    prefix = [1] * (len(zs) + 1)
-    for i, z in enumerate(zs):
-        prefix[i + 1] = prefix[i] * z % P
-    inv_all = pow(prefix[-1], P - 2, P)
-    invs = [0] * len(zs)
-    for i in range(len(zs) - 1, -1, -1):
-        invs[i] = prefix[i] * inv_all % P
-        inv_all = inv_all * zs[i] % P
-    affine = []
-    for (X, Y, Z), zi in zip(flat, invs):
+def _batch_to_affine(points):
+    """Affine forms of Jacobian points, none at infinity, with one inversion."""
+    prefix = []
+    acc = 1
+    for _, _, Z in points:
+        prefix.append(acc)
+        acc = acc * Z % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        zi = prefix[i] * inv % P
+        inv = inv * Z % P
         zi2 = zi * zi % P
-        affine.append((X * zi2 % P, Y * zi2 * zi % P))
-    return [affine[i * 15:(i + 1) * 15] for i in range(64)]
+        out[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
+    return out
 
 
-def _get_table():
-    global _table
-    if _table is None:
-        _table = _build_table()
-    return _table
+def _progression(x, y, dx, dy, count):
+    """Jacobian points (x, y) + i*(dx, dy) for i in range(count)."""
+    pts = [(x, y, 1)]
+    for _ in range(count - 1):
+        pts.append(_add_mixed(*pts[-1], dx, dy))
+    return pts
 
+
+def _odd_multiples(x, y, width):
+    """Affine 1P, 3P, ..., (2**(width-1) - 1)P for P = (x, y)."""
+    tx, ty = _to_affine(*_dbl(x, y, 1))
+    return _batch_to_affine(_progression(x, y, tx, ty, 1 << (width - 2)))
+
+
+# ── Lazily built generator tables ───────────────────────────────────────
+
+_comb = None
+_g_odd = None
+
+
+def _comb_table():
+    global _comb
+    if _comb is None:
+        rows = []
+        bx, by = GX, GY
+        for _ in range(_COMB_ROWS):
+            row = _progression(bx, by, bx, by, 32)
+            # the next row's base, 64 * base, rides along in the inversion
+            row = _batch_to_affine(row + [_dbl(*row[-1])])
+            bx, by = row.pop()
+            rows.append(row)
+        _comb = rows
+    return _comb
+
+
+def _g_odd_table():
+    global _g_odd
+    if _g_odd is None:
+        _g_odd = _odd_multiples(GX, GY, _G_WIDTH)
+    return _g_odd
+
+
+# ── Fixed-base multiplication ───────────────────────────────────────────
 
 def base_mult(k):
     """Return k*G in affine coordinates (None for k == 0 mod N)."""
     k %= N
     if k == 0:
         return None
-    table = _get_table()
-    acc = _INF
+    X, Y, Z = _INF
+    for row in _comb_table():
+        d = k & 63
+        k >>= 6
+        if d == 0:
+            continue
+        if d <= 32:
+            x2, y2 = row[d - 1]
+        else:  # negative digit d - 64; carry 1 into the next window
+            k += 1
+            x2, y2 = row[63 - d]
+            y2 = P - y2
+        ZZ = Z * Z % P
+        H = x2 * ZZ % P - X
+        if H == 0:
+            X, Y, Z = _add_mixed(X, Y, Z, x2, y2)
+            continue
+        R = y2 * ZZ % P * Z % P - Y
+        HH = H * H % P
+        HHH = HH * H % P
+        V = X * HH % P
+        X3 = (R * R - HHH - 2 * V) % P
+        Y = (R * (V - X3) - Y * HHH) % P
+        X = X3
+        Z = Z * H % P
+    return _to_affine(X, Y, Z)
+
+
+# ── Variable-base multiplication: interleaved wNAF ──────────────────────
+
+def _wnaf_adds(k, width, odd, adds):
+    """Append to adds[i] the signed table point for k's wNAF digit at bit i."""
+    span = 1 << width
+    half = span >> 1
     i = 0
     while k:
-        d = k & 15
-        if d:
-            px, py = table[i][d - 1]
-            acc = _add_mixed(acc[0], acc[1], acc[2], px, py)
-        k >>= 4
-        i += 1
-    return _to_affine(*acc)
-
-
-# ── General scalar multiplication: width-5 wNAF ─────────────────────────
-
-def _wnaf(k, w):
-    digits = []
-    span = 1 << w
-    half = 1 << (w - 1)
-    while k:
-        if k & 1:
-            d = k % span
-            if d >= half:
-                d -= span
-            k -= d
+        shift = (k & -k).bit_length() - 1
+        k >>= shift
+        i += shift
+        d = k & (span - 1)
+        if d >= half:
+            d -= span
+            x, y = odd[-d >> 1]
+            adds[i].append((x, P - y))
         else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+            adds[i].append(odd[d >> 1])
+        k -= d
 
 
-def _odd_multiples(x, y):
-    # 1P, 3P, ..., 15P in Jacobian form
-    twice = _dbl(x, y, 1)
-    odd = [(x, y, 1)]
-    for _ in range(7):
-        prev = odd[-1]
-        odd.append(_add(prev[0], prev[1], prev[2], twice[0], twice[1], twice[2]))
-    return odd
+def _mul_sum(terms):
+    """Return the sum of k*Q over (k, odd multiples of Q, width) in affine."""
+    adds = [[] for _ in range(257)]
+    for k, odd, width in terms:
+        _wnaf_adds(k, width, odd, adds)
+    X, Y, Z = _INF
+    for pts in reversed(adds):
+        # doubling (dbl-2001-b, a = -3); keeps Z == 0 and X == 0 at infinity
+        ZZ = Z * Z % P
+        YY = Y * Y % P
+        beta = X * YY % P
+        alpha = 3 * (X - ZZ) * (X + ZZ) % P
+        X3 = (alpha * alpha - 8 * beta) % P
+        Z = 2 * Y * Z % P
+        Y = (alpha * (4 * beta - X3) - 8 * YY * YY) % P
+        X = X3
+        for x2, y2 in pts:
+            ZZ = Z * Z % P
+            H = x2 * ZZ % P - X
+            if H == 0:
+                X, Y, Z = _add_mixed(X, Y, Z, x2, y2)
+                continue
+            R = y2 * ZZ % P * Z % P - Y
+            HH = H * H % P
+            HHH = HH * H % P
+            V = X * HH % P
+            X3 = (R * R - HHH - 2 * V) % P
+            Y = (R * (V - X3) - Y * HHH) % P
+            X = X3
+            Z = Z * H % P
+    return _to_affine(X, Y, Z)
 
 
 def scalar_mult(k, x, y):
@@ -194,17 +245,7 @@ def scalar_mult(k, x, y):
     k %= N
     if k == 0:
         return None
-    odd = _odd_multiples(x, y)
-    acc = _INF
-    for d in reversed(_wnaf(k, 5)):
-        acc = _dbl(*acc)
-        if d > 0:
-            q = odd[(d - 1) >> 1]
-            acc = _add(acc[0], acc[1], acc[2], q[0], q[1], q[2])
-        elif d < 0:
-            q = odd[(-d - 1) >> 1]
-            acc = _add(acc[0], acc[1], acc[2], q[0], P - q[1], q[2])
-    return _to_affine(*acc)
+    return _mul_sum([(k, _odd_multiples(x, y, _P_WIDTH), _P_WIDTH)])
 
 
 def double_base_mult(u, v, x, y):
@@ -215,25 +256,7 @@ def double_base_mult(u, v, x, y):
     """
     u %= N
     v %= N
-    if u == 0:
-        return scalar_mult(v, x, y) if v else None
-    if v == 0:
-        return base_mult(u)
-    odd_g = _odd_multiples(GX, GY)
-    odd_p = _odd_multiples(x, y)
-    du = _wnaf(u, 5)
-    dv = _wnaf(v, 5)
-    length = max(len(du), len(dv))
-    du += [0] * (length - len(du))
-    dv += [0] * (length - len(dv))
-    acc = _INF
-    for i in range(length - 1, -1, -1):
-        acc = _dbl(*acc)
-        for d, odd in ((du[i], odd_g), (dv[i], odd_p)):
-            if d > 0:
-                q = odd[(d - 1) >> 1]
-                acc = _add(acc[0], acc[1], acc[2], q[0], q[1], q[2])
-            elif d < 0:
-                q = odd[(-d - 1) >> 1]
-                acc = _add(acc[0], acc[1], acc[2], q[0], P - q[1], q[2])
-    return _to_affine(*acc)
+    if u == 0 and v == 0:
+        return None
+    return _mul_sum([(u, _g_odd_table(), _G_WIDTH),
+                     (v, _odd_multiples(x, y, _P_WIDTH), _P_WIDTH)])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
-from .errors import ProtocolError
+from .errors import InvalidPoint, ProtocolError
 from .messages import (
     MedicalReport,
     Transcript,
@@ -520,7 +520,7 @@ def registry_from_dict(data: dict) -> dict:
             "delta_t_ms": int(data["delta_t_ms"]),
             "tick_ms": int(data["tick_ms"]),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidPoint) as exc:
         raise ValueError(f"bad registry: {exc}") from None
 
 

@@ -1,6 +1,12 @@
 import pytest
 
+from tmisim import backend
 from tmisim.sim import ScenarioConfig, run_full_session
+
+
+def pytest_report_header(config):
+    return (f"tmisim EC backend: {backend.active_name()} "
+            f"(available: {', '.join(backend.available_backends())})")
 
 
 @pytest.fixture(scope="session")

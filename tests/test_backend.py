@@ -9,6 +9,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmisim import _p256_py as pure
 from tmisim import backend
@@ -21,6 +23,14 @@ except ImportError:
     compiled = None
 
 BACKENDS = [pure] + ([compiled] if compiled is not None else [])
+
+# Scalars whose signed 6-bit window recoding carries: N - 1 and 2**256 - 1
+# (which reduces below N), runs of all-ones windows that carry up through
+# every row, windows at the +-32 digit boundary, and 2**(6*i) +- 1.
+CARRY_SCALARS = [N - 1, 2**256 - 1, 2**252 - 1,
+                 sum(32 << 6 * i for i in range(42)),
+                 sum(33 << 6 * i for i in range(42))]
+CARRY_SCALARS += [2**(6 * i) + e for i in range(1, 43) for e in (-1, 1)]
 
 
 # ── independent oracle ──────────────────────────────────────────────────
@@ -74,7 +84,7 @@ class TestBackend:
         rng = random.Random(1)
         ks = [1, 2, 15, 16, 17, N - 1, N - 2, 2**255 + 99]
         ks += [rng.randrange(1, N) for _ in range(20)]
-        for k in ks:
+        for k in ks + CARRY_SCALARS:
             assert impl.base_mult(k) == _affine_mul(k, (GX, GY)), hex(k)
 
     def test_scalar_mult_matches_oracle(self, impl):
@@ -91,6 +101,37 @@ class TestBackend:
             q = impl.base_mult(rng.randrange(1, N))
             expected = _affine_add(_affine_mul(u, (GX, GY)), _affine_mul(v, q))
             assert impl.double_base_mult(u, v, q[0], q[1]) == expected
+
+    def test_double_base_mult_collisions(self, impl):
+        # With Q = +-G and equal top digits, adding v's top digit meets the
+        # accumulator: Q = G takes the doubling branch, Q = -G folds to
+        # infinity there, and where lower digits follow the loop carries on.
+        neg_g = (GX, P - GY)
+        cases = [(1, 1, (GX, GY)), (7, 7, (GX, GY)), (7, 7, neg_g),
+                 (2**100 + 1, 2**100 + 1, (GX, GY)),
+                 (2**100 + 3, 2**100 + 1, neg_g),
+                 (2**200 + 2**100 + 5, 2**200 + 1, neg_g)]
+        for u, v, q in cases:
+            expected = _affine_add(_affine_mul(u, (GX, GY)), _affine_mul(v, q))
+            assert impl.double_base_mult(u, v, q[0], q[1]) == expected, (u, v)
+
+    def test_double_base_mult_zero_scalars(self, impl):
+        rng = random.Random(7)
+        k = rng.randrange(1, N)
+        q = impl.base_mult(rng.randrange(1, N))
+        assert impl.double_base_mult(0, k, q[0], q[1]) == _affine_mul(k, q)
+        assert impl.double_base_mult(N, k, q[0], q[1]) == _affine_mul(k, q)
+        assert impl.double_base_mult(k, 0, q[0], q[1]) == _affine_mul(k, (GX, GY))
+        assert impl.double_base_mult(k, N, q[0], q[1]) == _affine_mul(k, (GX, GY))
+        assert impl.double_base_mult(0, N, q[0], q[1]) is None
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, N - 1), st.integers(1, N - 1), st.integers(1, N - 1))
+    def test_random_scalars_match_oracle(self, impl, u, v, c):
+        q = _affine_mul(c, (GX, GY))
+        assert impl.base_mult(u) == _affine_mul(u, (GX, GY))
+        expected = _affine_add(_affine_mul(u, (GX, GY)), _affine_mul(v, q))
+        assert impl.double_base_mult(u, v, q[0], q[1]) == expected
 
     def test_infinity_cases(self, impl):
         assert impl.base_mult(0) is None

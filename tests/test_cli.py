@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tmisim import sim
+from tmisim.backend import B, P
 from tmisim.cli import main
 
 
@@ -180,6 +181,26 @@ class TestVerify:
         alone = tmp_path / "transcript.jsonl"
         alone.write_bytes((artifacts / sim.TRANSCRIPT_FILE).read_bytes())
         assert main(["verify", "--transcript", str(alone)]) == 0
+
+    @pytest.mark.parametrize("corrupt", ["bad_prefix", "x_out_of_range", "off_curve"])
+    def test_corrupted_registry_key_malformed(self, artifacts, tmp_path,
+                                              capsys, corrupt):
+        registry = json.loads((artifacts / sim.REGISTRY_FILE).read_text())
+        x = 1
+        while pow((x**3 - 3 * x + B) % P, (P - 1) // 2, P) == 1:
+            x += 1  # first x with no curve point
+        registry["pk_h"] = {
+            "bad_prefix": "05" + registry["pk_h"][2:],
+            "x_out_of_range": "02" + P.to_bytes(32, "big").hex(),
+            "off_curve": "02" + x.to_bytes(32, "big").hex(),
+        }[corrupt]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(registry))
+        code = main(["verify",
+                     "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--registry", str(path)])
+        assert code == 3
+        assert "error: malformed input" in capsys.readouterr().err
 
     def test_replayed_transcript_flagged(self, tmp_path, capsys):
         out = tmp_path / "replay"
