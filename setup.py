@@ -27,17 +27,14 @@ class optional_build_ext(build_ext):
                   "tmisim will use the pure-Python backend", file=sys.stderr)
 
 
+# Cython regenerates the C from the .pyx; without it, the tracked
+# generated C builds the same kernel
 ext_modules = []
-if cythonize is not None and not os.environ.get("TMISIM_NO_EXT"):
-    ext_modules = cythonize(
-        [
-            Extension(
-                "tmisim._speedups",
-                ["src/tmisim/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level="3",
-    )
+if not os.environ.get("TMISIM_NO_EXT"):
+    source = "_speedups.pyx" if cythonize is not None else "_speedups.c"
+    ext_modules = [Extension("tmisim._speedups", [f"src/tmisim/{source}"],
+                             extra_compile_args=["-O3"])]
+    if cythonize is not None:
+        ext_modules = cythonize(ext_modules, language_level="3")
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -168,6 +168,9 @@ class _Struct:
 
     FIELDS: ClassVar[tuple] = ()
 
+    def __deepcopy__(self, memo):
+        return self  # every payload is frozen, so copies of a session share it
+
     def encode(self) -> bytes:
         out = bytearray()
         for name, kind in self.FIELDS:
@@ -409,6 +412,9 @@ class ChannelMessage:
     channel: str
     sent_at: int
     payload: object
+
+    def __deepcopy__(self, memo):
+        return self  # frozen, so copies of a transcript share it
 
 
 def make_channel_message(payload, sent_at: int) -> ChannelMessage:

@@ -3,8 +3,10 @@
 Wires the four actors through the dual channel, drives a simulated
 millisecond clock (no step ever reads wall-clock time), records every
 transmission in a Transcript, and applies fault injections (ciphertext
-tampering, delivery delay, stale replay). A given ScenarioConfig always
-produces byte-identical artifacts.
+tampering, delivery delay, stale replay). A session advances one
+transmission at a time, so a faulted run resumes from a copy of its
+fault-free session taken just before the first fault. A given
+ScenarioConfig always produces byte-identical artifacts.
 
 Artifact layout written by :func:`write_artifacts`:
 
@@ -16,7 +18,9 @@ Artifact layout written by :func:`write_artifacts`:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -25,6 +29,7 @@ from typing import Optional
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
 from .errors import InvalidPoint, ProtocolError
 from .messages import (
+    WIRE_MESSAGES,
     MedicalReport,
     Transcript,
     make_channel_message,
@@ -33,6 +38,8 @@ from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
 
 DEFAULT_DELTA_T_MS = 2000
 DEFAULT_TICK_MS = 10
+
+SESSION_MESSAGES = len(WIRE_MESSAGES)
 
 FAULT_TAMPER = "tamper"
 FAULT_DELAY = "delay"
@@ -85,8 +92,12 @@ class ScenarioConfig:
         for fault in self.faults:
             if fault.action not in (FAULT_TAMPER, FAULT_DELAY, FAULT_REPLAY):
                 raise ValueError(f"unknown fault action {fault.action!r}")
-            if not 0 <= fault.target < 12:
+            if not 0 <= fault.target < SESSION_MESSAGES:
                 raise ValueError("fault target must be a message index 0..11")
+            message_cls = WIRE_MESSAGES[fault.target]
+            if fault.action == FAULT_TAMPER and _ciphertext_field(message_cls) is None:
+                raise ValueError(f"{message_cls.__name__} (message {fault.target}) "
+                                 "carries no ciphertext to tamper")
 
 
 @dataclass(frozen=True)
@@ -130,20 +141,35 @@ _RECEIVE = {
     "CpMsg3": ("cp", "c_store", "cloud", "cp_store"),
 }
 
+# the step that opens each phase, by the transcript index of the message
+# it sends: (phase, step name, actor attr, method); every other message
+# is the reply returned by receiving the one before it
+_STARTERS = {
+    0: ("hup", "h_init", "hospital", "hup_init"),
+    3: ("pup", "p_request", "patient", "pup_request"),
+    6: ("tp", "d_request", "doctor", "tp_request"),
+    9: ("cp", "p_request", "patient", "cp_request"),
+}
+_COLLECT = 10  # receiving CpMsg2 returns the reply and the recovered reports
+
+
+def _ciphertext_field(message_cls) -> Optional[str]:
+    """The field a tamper fault flips a byte of, or None for a plain message."""
+    return next((name for name, kind in message_cls.FIELDS if kind == "ciphertext"),
+                None)
+
 
 def _tampered(payload, offset: int):
-    ct_fields = [name for name, kind in payload.FIELDS if kind == "ciphertext"]
-    if not ct_fields:
-        raise ValueError(f"{type(payload).__name__} carries no ciphertext to tamper")
-    name = ct_fields[0]
+    name = _ciphertext_field(type(payload))
     raw = bytearray(getattr(payload, name).encode())
     raw[offset % len(raw)] ^= 0x01
     return dataclasses.replace(payload, **{name: Ciphertext.decode(bytes(raw))})
 
 
 class _Session:
+    """One session, advanced one transmission at a time by :meth:`step`."""
+
     def __init__(self, cfg: ScenarioConfig):
-        cfg.validate()
         self.cfg = cfg
         master = SeededRng(cfg.seed, "session")
         kp_h = KeyPair.generate(master.fork("keypair/H"))
@@ -169,16 +195,20 @@ class _Session:
         self.replay_rejections = []
         self.abort: Optional[AbortInfo] = None
         self._phase = self._step = ""
-        self._faults = {}
-        for fault in cfg.faults:
-            self._faults.setdefault(fault.target, []).append(fault)
+        self._pending = None  # what the next step sends, unless a phase starts there
+
+    @property
+    def finished(self) -> bool:
+        return self.abort is not None or len(self.transcript) == SESSION_MESSAGES
 
     # one transmission: record what goes on the wire (post-fault), then
     # advance the clock before the receiving side runs
     def _transmit(self, payload):
         index = len(self.transcript)
         extra = 0
-        for fault in self._faults.get(index, ()):
+        for fault in self.cfg.faults:
+            if fault.target != index:
+                continue
             if fault.action == FAULT_TAMPER:
                 payload = _tampered(payload, fault.offset)
             elif fault.action == FAULT_DELAY:
@@ -192,12 +222,26 @@ class _Session:
         self._phase, self._step = phase, step
         return getattr(getattr(self, actor), method)(payload, self.now)
 
-    def run(self) -> SessionOutcome:
+    def step(self) -> None:
+        """Send the next message and run its receiving step; a ProtocolError
+        from either side becomes the session's abort."""
+        index = len(self.transcript)
         try:
-            self._run_phases()
+            if index in _STARTERS:
+                self._phase, self._step, actor, method = _STARTERS[index]
+                self._pending = getattr(getattr(self, actor), method)(self.now)
+            reply = self._receive(self._transmit(self._pending))
         except ProtocolError as exc:
             self.abort = AbortInfo(self._phase, self._step,
                                    type(exc).__name__, len(self.transcript) - 1)
+            return
+        if index == _COLLECT:
+            reply, self.recovered = reply
+        self._pending = reply
+
+    def run(self) -> SessionOutcome:
+        while not self.finished:
+            self.step()
         self._run_replays()
         keys = {
             "sk_hc": self.hospital.sk_hc, "sk_ch": self.cloud.sk_ch,
@@ -216,31 +260,8 @@ class _Session:
             abort=self.abort,
         )
 
-    def _run_phases(self):
-        self._phase, self._step = "hup", "h_init"
-        msg = self._receive(self._transmit(self.hospital.hup_init(self.now)))
-        msg = self._receive(self._transmit(msg))
-        self._receive(self._transmit(msg))
-
-        self._phase, self._step = "pup", "p_request"
-        msg = self._receive(self._transmit(self.patient.pup_request(self.now)))
-        msg = self._receive(self._transmit(msg))
-        self._receive(self._transmit(msg))
-
-        self._phase, self._step = "tp", "d_request"
-        msg = self._receive(self._transmit(self.doctor.tp_request(self.now)))
-        msg = self._receive(self._transmit(msg))
-        self._receive(self._transmit(msg))
-
-        self._phase, self._step = "cp", "p_request"
-        msg = self._receive(self._transmit(self.patient.cp_request(self.now)))
-        reply, reports = self._receive(self._transmit(msg))
-        self.recovered = reports
-        self._receive(self._transmit(reply))
-
     def _run_replays(self):
-        replays = [f for faults in self._faults.values() for f in faults
-                   if f.action == FAULT_REPLAY]
+        replays = [f for f in self.cfg.faults if f.action == FAULT_REPLAY]
         for fault in sorted(replays, key=lambda f: f.target):
             if fault.target >= len(self.transcript):
                 continue  # session aborted before the target was sent
@@ -257,9 +278,52 @@ class _Session:
                 self.replay_rejections.append((fault.target, None))
 
 
+class _Checkpoints:
+    """A live fault-free session plus a copy of it taken before each step,
+    advanced only as far as a fork has asked for."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.live = _Session(cfg)
+        self.snapshots = [copy.deepcopy(self.live)]  # [i]: before step i
+
+    def fork(self, index: int) -> _Session:
+        """A private copy of the session before step `index`, or before the
+        step at which it aborted if that comes first."""
+        live, snapshots = self.live, self.snapshots
+        while len(snapshots) <= index and not live.finished:
+            live.step()
+            if live.abort is None:
+                snapshots.append(copy.deepcopy(live))
+        return copy.deepcopy(snapshots[min(index, len(snapshots) - 1)])
+
+
+# only the most recent base is kept: a fault sweep shares one
+_checkpoints = functools.lru_cache(maxsize=1)(_Checkpoints)
+
+
+def _divergence(faults) -> int:
+    """The first step a fault changes: the earliest tamper or delay target,
+    or the end of the session when every fault is a replay (replays run
+    after it)."""
+    return min((f.target for f in faults if f.action != FAULT_REPLAY),
+               default=SESSION_MESSAGES)
+
+
 def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
-    """Execute HUP, PUP, TP, CP in order, stopping at the first abort."""
-    return _Session(cfg).run()
+    """Execute HUP, PUP, TP, CP in order, stopping at the first abort.
+
+    Every step before a config's first fault is the same as in the
+    fault-free session, so a faulted run continues from a copy of that
+    session (shared across calls with the same base) taken just before
+    the fault, and only the rest of the session runs.
+    """
+    cfg.validate()
+    if not cfg.faults:
+        return _Session(cfg).run()
+    base = _checkpoints(dataclasses.replace(cfg, faults=()))
+    session = base.fork(_divergence(cfg.faults))
+    session.cfg = cfg  # the rest of the session runs with the faults
+    return session.run()
 
 
 @dataclass

@@ -160,6 +160,10 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
     # the serial is only derivable once CpMsg1 discloses it
     m10 = take("CpMsg1")
     sn = m10.sn if m10 is not None else None
+    if m10 is not None:
+        checks.add("cp_identity", m10.id_p == m4.id_p and m10.nid == m4.nid,
+                   f"CpMsg1 id_p/nid expected {m4.id_p.hex()}/{m4.nid.hex()} "
+                   f"(as in PupMsg1), found {m10.id_p.hex()}/{m10.nid.hex()}")
     m5 = take("PupMsg2")
     if m5 is None or sn is None:
         return checks.results

@@ -62,6 +62,19 @@ class TestSimulate:
     def test_usage_error_on_unknown_flag(self, tmp_path, capsys):
         assert main(["simulate", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    @pytest.mark.parametrize("target", [0, 3, 6, 9])
+    def test_tamper_on_plain_message_is_malformed(self, tmp_path, capsys,
+                                                  command, target):
+        cfg = tmp_path / "fault.json"
+        cfg.write_text(json.dumps({
+            "faults": [{"target": target, "action": "tamper"}]}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no ciphertext to tamper" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCampaign:
     def test_summary_written(self, tmp_path, capsys):
@@ -201,6 +214,25 @@ class TestVerify:
                      "--registry", str(path)])
         assert code == 3
         assert "error: malformed input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("nid", b"nid-9999"),
+                                             ("id_p", b"patient-999")])
+    def test_rewritten_checkup_identity_fails(self, artifacts, tmp_path, capsys,
+                                              field, value):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        record = json.loads(lines[9])
+        assert record["type"] == "CpMsg1"
+        found, record["fields"][field] = record["fields"][field], value.hex()
+        lines[9] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        rewritten = tmp_path / "rewritten.jsonl"
+        rewritten.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["verify", "--transcript", str(rewritten),
+                     "--registry", str(artifacts / sim.REGISTRY_FILE)])
+        assert code == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAILED: cp_identity")]
+        assert len(failed) == 1
+        assert found in failed[0] and value.hex() in failed[0]
 
     def test_replayed_transcript_flagged(self, tmp_path, capsys):
         out = tmp_path / "replay"

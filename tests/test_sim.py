@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tmisim import sim
-from tmisim.messages import CHANNEL_PUBLIC, CHANNEL_SECURE, Transcript
+from tmisim.messages import CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript
 from tmisim.sim import FaultInjection, ScenarioConfig, run_campaign, run_full_session
 
 _EXPECTED_TYPES = ["HupMsg1", "HupMsg2", "HupMsg3", "PupMsg1", "PupMsg2",
@@ -216,3 +220,145 @@ class TestArtifacts:
             sim.cloud_db_from_jsonl(b'{"type":"mystery"}\n')
         with pytest.raises(ValueError):
             sim.cloud_db_from_jsonl(b"not json\n")
+
+
+# ── checkpoint forks against the fresh-run reference ────────────────────
+
+_ARTIFACT_FILES = (sim.TRANSCRIPT_FILE, sim.CLOUD_DB_FILE, sim.REGISTRY_FILE,
+                   sim.OUTCOME_FILE)
+_TAMPERABLE = [i for i, cls in enumerate(WIRE_MESSAGES)
+               if any(kind == "ciphertext" for _name, kind in cls.FIELDS)]
+
+
+def _artifacts(outcome, outdir):
+    """The four files write_artifacts produces for `outcome`, as bytes."""
+    sim.write_artifacts(outcome, str(outdir))
+    return [(outdir / name).read_bytes() for name in _ARTIFACT_FILES]
+
+
+def _serialized(outcome):
+    """What write_artifacts writes for `outcome`, kept in memory."""
+    return [outcome.transcript.to_jsonl(), sim.cloud_db_to_jsonl(outcome),
+            json.dumps(sim.registry_to_dict(outcome), sort_keys=True).encode(),
+            json.dumps(sim.outcome_to_dict(outcome), sort_keys=True).encode()]
+
+
+def _fresh(cfg):
+    """The reference: the same engine, started without a checkpoint."""
+    return sim._Session(cfg).run()
+
+
+def _faulted(base, *faults):
+    return dataclasses.replace(base, faults=faults)
+
+
+_FAULTS = st.one_of(
+    st.builds(FaultInjection, target=st.sampled_from(_TAMPERABLE),
+              action=st.just("tamper"), offset=st.integers(0, 1000)),
+    st.builds(FaultInjection, target=st.integers(0, 11), action=st.just("delay"),
+              delay_ms=st.integers(0, 2500)),
+    st.builds(FaultInjection, target=st.integers(0, 11), action=st.just("replay")),
+)
+
+
+class TestCheckpointForks:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 3), variant=st.sampled_from("AB"),
+           faults=st.lists(_FAULTS, min_size=1, max_size=3))
+    def test_fork_matches_fresh_run(self, tmp_path, seed, variant, faults):
+        cfg = ScenarioConfig(seed=seed, variant=variant, faults=tuple(faults))
+        assert (_artifacts(run_full_session(cfg), tmp_path)
+                == _artifacts(_fresh(cfg), tmp_path))
+
+    def test_criterion_7_sweep_matches_fresh_runs(self):
+        """Every single-byte tamper and stale replay of criterion 7, forked,
+        serializes as fresh runs of the same configs did: the digest was
+        recorded from `_fresh(cfg)` over the same sweep."""
+        base = ScenarioConfig(seed=4242)
+        reference = run_full_session(base)
+        configs = []
+        for target in _TAMPERABLE:
+            payload = reference.transcript[target].payload
+            name = next(n for n, kind in payload.FIELDS if kind == "ciphertext")
+            configs += [_faulted(base, FaultInjection(target, "tamper", offset=offset))
+                        for offset in range(len(getattr(payload, name).encode()))]
+        configs += [_faulted(base, FaultInjection(target, "replay"))
+                    for target in range(12)]
+        assert len(configs) == 2597
+        digest = hashlib.sha256()
+        for cfg in configs:
+            for data in _serialized(run_full_session(cfg)):
+                digest.update(data)
+        assert digest.hexdigest() == (
+            "7683ae3545605ddf83d8e97b682cb45777c2655d27e57764b25e38622797e32c")
+
+    def test_base_switching_refills_the_memo(self, tmp_path):
+        sim._checkpoints.cache_clear()
+        a, b = ScenarioConfig(seed=11), ScenarioConfig(seed=12, variant="B")
+        for base, fault in ((a, FaultInjection(7, "tamper", offset=2)),
+                            (b, FaultInjection(4, "delay", delay_ms=2100)),
+                            (a, FaultInjection(10, "tamper", offset=9))):
+            cfg = _faulted(base, fault)
+            assert (_artifacts(run_full_session(cfg), tmp_path)
+                    == _artifacts(_fresh(cfg), tmp_path))
+        info = sim._checkpoints.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
+        cfg = _faulted(a, FaultInjection(3, "replay"))
+        assert (_artifacts(run_full_session(cfg), tmp_path)
+                == _artifacts(_fresh(cfg), tmp_path))
+        assert sim._checkpoints.cache_info().hits == 1
+
+    def test_one_off_fault_runs_no_more_steps_than_fresh(self, monkeypatch):
+        steps = []
+        step = sim._Session.step
+
+        def counted_step(session):
+            steps.append(len(session.transcript))
+            step(session)
+
+        monkeypatch.setattr(sim._Session, "step", counted_step)
+        sim._checkpoints.cache_clear()
+        cfg = ScenarioConfig(seed=13, faults=(FaultInjection(5, "tamper", offset=1),))
+        assert run_full_session(cfg).abort.message_index == 5
+        fork_steps = steps[:]
+        steps.clear()
+        _fresh(cfg)
+        assert fork_steps == steps == list(range(6))
+
+    def test_aborting_base_with_later_faults(self, tmp_path):
+        # every hop outlasts the freshness window, so the fault-free base
+        # itself aborts at message 0, before any of these targets
+        base = ScenarioConfig(seed=21, tick_ms=2500)
+        assert run_full_session(base).abort.message_index == 0
+        for faults in ((FaultInjection(5, "tamper", offset=3),),
+                       (FaultInjection(8, "delay", delay_ms=40),
+                        FaultInjection(2, "replay")),
+                       (FaultInjection(0, "replay"),),
+                       (FaultInjection(0, "delay", delay_ms=1),)):
+            cfg = _faulted(base, *faults)
+            forked = run_full_session(cfg)
+            assert (forked.abort.phase, forked.abort.step) == ("hup", "c_challenge")
+            assert _artifacts(forked, tmp_path) == _artifacts(_fresh(cfg), tmp_path)
+
+    def test_mutating_an_outcome_leaves_later_forks_intact(self, tmp_path):
+        base = ScenarioConfig(seed=31)
+        first = run_full_session(_faulted(base, FaultInjection(11, "replay")))
+        record = first.cloud_db[0]
+        record.c_e = record.c_p = None
+        record.sig_d = b"forged"
+        first.transcript.append(first.transcript[0])
+        first.cloud_session["id_h"] = b"someone-else"
+        first.replay_rejections.append((0, None))
+        for fault in (FaultInjection(11, "replay"), FaultInjection(10, "tamper")):
+            cfg = _faulted(base, fault)
+            assert (_artifacts(run_full_session(cfg), tmp_path)
+                    == _artifacts(_fresh(cfg), tmp_path))
+
+    def test_fault_free_run_leaves_the_memo_untouched(self):
+        run_full_session(_faulted(ScenarioConfig(seed=41),
+                                  FaultInjection(2, "tamper")))
+        before = sim._checkpoints.cache_info()
+        run_full_session(ScenarioConfig(seed=41))
+        run_campaign(ScenarioConfig(seed=42), 2)
+        assert sim._checkpoints.cache_info() == before
