@@ -108,16 +108,90 @@ def report_digest(report: MedicalReport) -> bytes:
     return hash_fields(TAG_REPORT, [report.encode()])
 
 
+# ── the scheme's keys and verifier digests ──────────────────────────────
+# One function per formula, called by the actors, the offline verifier
+# and the insider alike. Scalars, Diffie-Hellman points and ciphertexts
+# are passed as objects, timestamps in milliseconds.
+
+def k1_digest(id_h, a, t_h1):
+    return computing_key_digest(id_h, a.to_bytes(), encode_timestamp(t_h1))
+
+
+def s1_digest(id_h, a, b, t_h1):
+    return verifier_digest(id_h, a.to_bytes(), b.to_bytes(), encode_timestamp(t_h1))
+
+
+def sk_hc_digest(id_h, s1, abg, t_c2):
+    # both sides must hash a timestamp they both saw; t_c2 is the one H
+    # actually receives, so it stands in for the cloud's receive time
+    return session_key_digest(id_h, s1, abg.encode(), encode_timestamp(t_c2))
+
+
+def s2_digest(sk_hc, c_h, sig_h, t_h3):
+    return verifier_digest(sk_hc, c_h.encode(), sig_h, encode_timestamp(t_h3))
+
+
+def c_h_key_digest(id_p, id_h, nid):
+    return computing_key_digest(id_p, id_h, nid)
+
+
+def mask_i_digest(nid, id_p):
+    return mask_digest(nid, id_p)
+
+
+def s3_digest(nid, id_p, c_h, sig_h, c, t_c5):
+    return verifier_digest(nid, id_p, c_h.encode(), sig_h, c.to_bytes(),
+                           encode_timestamp(t_c5))
+
+
+def sk_pc_digest(id_p, id_h, c_h, s3, cdg, t_c5):
+    return session_key_digest(id_p, id_h, c_h.encode(), s3, cdg.encode(),
+                              encode_timestamp(t_c5))
+
+
+def s4_digest(sk_pc, c_p, sig_p, s3, cdg, t_p3):
+    return verifier_digest(sk_pc, c_p.encode(), sig_p, s3, cdg.encode(),
+                           encode_timestamp(t_p3))
+
+
+def mask_j_digest(id_d, r):
+    return mask_digest(id_d, r.to_bytes())
+
+
+def s5_digest(id_p, id_d, sig_h, sig_p, c_p, t_c8):
+    return verifier_digest(id_p, id_d, sig_h, sig_p, c_p.encode(), encode_timestamp(t_c8))
+
+
+def s6_digest(id_p, id_d, c_d, sig_d, sig_p, t_d3):
+    return verifier_digest(id_p, id_d, c_d.encode(), sig_d, sig_p, encode_timestamp(t_d3))
+
+
+def sk_dc_digest(s6, id_p, id_d, sig_d, sig_p, rsg, t_d3):
+    return session_key_digest(s6, id_p, id_d, sig_d, sig_p, rsg.encode(),
+                              encode_timestamp(t_d3))
+
+
+def s7_digest(sk_pc, id_p, id_d, c_d, xyg, sig_p, t_c11):
+    return verifier_digest(sk_pc, id_p, id_d, c_d.encode(), xyg.encode(), sig_p,
+                           encode_timestamp(t_c11))
+
+
+def s8_digest(sk_pc, s7, c_e, sig_p, sig_d, xyg, t_p6):
+    return verifier_digest(sk_pc, s7, c_e.encode(), sig_p, sig_d, xyg.encode(),
+                           encode_timestamp(t_p6))
+
+
 def report_key_digest(variant: str, *, id_p: bytes, id_h: bytes, nid: bytes,
                       id_d: bytes, sn: Scalar) -> bytes:
-    """The key the reports C_P/C_D/C_E are encrypted under.
+    """k_pd, the key the reports C_P/C_D/C_E are encrypted under.
 
     The two build variants correspond to the two derivations the scheme
     itself uses interchangeably; either way every input is material the
     cloud holds, which is exactly what the insider attack exploits.
+    Variant A is the C_H key and ignores id_d and sn; B ignores id_h, nid.
     """
     if variant == VARIANT_A:
-        return computing_key_digest(id_p, id_h, nid)
+        return c_h_key_digest(id_p, id_h, nid)
     if variant == VARIANT_B:
         return computing_key_digest(id_p, id_d, sn.to_bytes())
     raise ValueError(f"unknown variant {variant!r}")
@@ -155,6 +229,12 @@ class CloudRecord:
     sig_d: Optional[bytes] = None
     c_d: Optional[Ciphertext] = None
     c_e: Optional[Ciphertext] = None
+    # the JSON codec's schema; not a _Struct, whose copies share one object,
+    # because later phases fill a row in place
+    FIELDS = (("nid", "bytes"), ("id_p", "bytes"), ("sn", "scalar"),
+              ("sig_h", "signature"), ("c_h", "ciphertext"), ("sig_p", "signature"),
+              ("c_p", "ciphertext"), ("sig_d", "signature"), ("c_d", "ciphertext"),
+              ("c_e", "ciphertext"))
 
 
 class Hospital:
@@ -182,21 +262,16 @@ class Hospital:
 
     def hup_upload(self, msg: HupMsg2, now: int) -> HupMsg3:
         check_freshness(now, msg.t_c2, self.delta_t_ms)
-        t_h1 = encode_timestamp(self._t_h1)
-        k1 = computing_key_digest(self.id_h, self._a.to_bytes(), t_h1)
+        k1 = k1_digest(self.id_h, self._a, self._t_h1)
         body = E1Body.decode(sym_decrypt(derive_key(k1), msg.e1))
-        s1 = verifier_digest(self.id_h, self._a.to_bytes(), body.b.to_bytes(), t_h1)
+        s1 = s1_digest(self.id_h, self._a, body.b, self._t_h1)
         if s1 != body.s1:
             raise DigestMismatch("challenge digest S1 mismatch")
-        abg = dh_point(self._a, body.b)
-        # both sides must hash a timestamp they both saw; t_c2 is the one
-        # H actually receives, so it stands in for the cloud's receive time
-        sk_hc = session_key_digest(self.id_h, s1, abg.encode(),
-                                   encode_timestamp(msg.t_c2))
-        k2 = computing_key_digest(self.id_p, self.id_h, self.nid)
+        sk_hc = sk_hc_digest(self.id_h, s1, dh_point(self._a, body.b), msg.t_c2)
+        k2 = c_h_key_digest(self.id_p, self.id_h, self.nid)
         c_h = sym_encrypt(derive_key(k2), encode_report_bundle([self.report]), self._rng)
         sig_h = sign(self.keypair.private, report_digest(self.report))
-        s2 = verifier_digest(sk_hc, c_h.encode(), sig_h, encode_timestamp(now))
+        s2 = s2_digest(sk_hc, c_h, sig_h, now)
         e2 = sym_encrypt(derive_key(sk_hc),
                          E2Body(self.id_p, s2, c_h, self.nid, sig_h, now).encode(),
                          self._rng)
@@ -231,20 +306,16 @@ class Patient:
 
     def pup_upload(self, msg: PupMsg2, now: int) -> PupMsg3:
         check_freshness(now, msg.t_c5, self.delta_t_ms)
-        md = mask_digest(self.nid, self.id_p)
         # unmasking must invert the cloud's masking or E3 cannot decrypt
-        y = unmask_serial(msg.i_mask, md)
+        y = unmask_serial(msg.i_mask, mask_i_digest(self.nid, self.id_p))
         body = E3Body.decode(sym_decrypt(derive_key(y), msg.e3))
-        t_c5 = encode_timestamp(msg.t_c5)
-        s3 = verifier_digest(self.nid, self.id_p, body.c_h.encode(), body.sig_h,
-                             body.c.to_bytes(), t_c5)
+        s3 = s3_digest(self.nid, self.id_p, body.c_h, body.sig_h, body.c, msg.t_c5)
         if s3 != body.s3:
             raise DigestMismatch("response digest S3 mismatch")
         d = random_scalar(self._rng)
         cdg = dh_point(body.c, d)
-        sk_pc = session_key_digest(self.id_p, body.id_h, body.c_h.encode(), s3,
-                                   cdg.encode(), t_c5)
-        k3 = computing_key_digest(self.id_p, body.id_h, self.nid)
+        sk_pc = sk_pc_digest(self.id_p, body.id_h, body.c_h, s3, cdg, msg.t_c5)
+        k3 = c_h_key_digest(self.id_p, body.id_h, self.nid)
         m_h = decode_report_bundle(sym_decrypt(derive_key(k3), body.c_h), 1)[0]
         # the inspection report has no reference copy here; its authenticity
         # check is the hospital signature
@@ -255,8 +326,7 @@ class Patient:
         c_p = sym_encrypt(derive_key(k_pd),
                           encode_report_bundle([m_h, self.report]), self._rng)
         sig_p = sign(self.keypair.private, report_digest(self.report))
-        s4 = verifier_digest(sk_pc, c_p.encode(), sig_p, s3, cdg.encode(),
-                             encode_timestamp(now))
+        s4 = s4_digest(sk_pc, c_p, sig_p, s3, cdg, now)
         e4 = sym_encrypt(derive_key(y),
                          E4Body(d, s4, sig_p, c_p, now).encode(), self._rng)
         self.serial = y
@@ -276,9 +346,8 @@ class Patient:
         check_freshness(now, msg.t_c11, self.delta_t_ms)
         body = E7Body.decode(sym_decrypt(derive_key(self.sk_pc), msg.e7))
         xyg = dh_point(self._x, body.y)
-        t_c11 = encode_timestamp(msg.t_c11)
-        s7 = verifier_digest(self.sk_pc, self.id_p, body.id_d, body.c_d.encode(),
-                             xyg.encode(), self.sig_p, t_c11)
+        s7 = s7_digest(self.sk_pc, self.id_p, body.id_d, body.c_d, xyg, self.sig_p,
+                       msg.t_c11)
         if s7 != body.s7:
             raise DigestMismatch("checkup digest S7 mismatch")
         k_pd = report_key_digest(self.variant, id_p=self.id_p, id_h=self.id_h,
@@ -287,8 +356,7 @@ class Patient:
         if not verify(self.directory.pk_d, report_digest(reports[2]), body.sig_d):
             raise BadSignature("doctor signature rejected")
         c_e = sym_encrypt(derive_key(k_pd), encode_report_bundle(reports), self._rng)
-        s8 = verifier_digest(self.sk_pc, s7, c_e.encode(), self.sig_p, body.sig_d,
-                             xyg.encode(), encode_timestamp(now))
+        s8 = s8_digest(self.sk_pc, s7, c_e, self.sig_p, body.sig_d, xyg, now)
         e8 = sym_encrypt(derive_key(self.sk_pc),
                          E8Body(c_e, s8, now).encode(), self._rng)
         self.recovered = reports
@@ -316,11 +384,10 @@ class Doctor:
 
     def tp_prescribe(self, msg: TpMsg2, now: int) -> TpMsg3:
         check_freshness(now, msg.t_c8, self.delta_t_ms)
-        z = unmask_serial(msg.j_mask, mask_digest(self.id_d, self._r.to_bytes()))
+        z = unmask_serial(msg.j_mask, mask_j_digest(self.id_d, self._r))
         body = E5Body.decode(sym_decrypt(derive_key(z), msg.e5))
-        t_c8 = encode_timestamp(msg.t_c8)
-        s5 = verifier_digest(body.id_p, self.id_d, body.sig_h, body.sig_p,
-                             body.c_p.encode(), t_c8)
+        s5 = s5_digest(body.id_p, self.id_d, body.sig_h, body.sig_p, body.c_p,
+                       msg.t_c8)
         if s5 != body.s5:
             raise DigestMismatch("treatment digest S5 mismatch")
         k_pd = report_key_digest(self.variant, id_p=body.id_p,
@@ -335,12 +402,9 @@ class Doctor:
         c_d = sym_encrypt(derive_key(k_pd),
                           encode_report_bundle([m_h, m_b, m_d]), self._rng)
         sig_d = sign(self.keypair.private, report_digest(m_d))
-        t_d3 = encode_timestamp(now)
-        s6 = verifier_digest(body.id_p, self.id_d, c_d.encode(), sig_d,
-                             body.sig_p, t_d3)
+        s6 = s6_digest(body.id_p, self.id_d, c_d, sig_d, body.sig_p, now)
         rsg = dh_point(self._r, body.s)
-        sk_dc = session_key_digest(s6, body.id_p, self.id_d, sig_d, body.sig_p,
-                                   rsg.encode(), t_d3)
+        sk_dc = sk_dc_digest(s6, body.id_p, self.id_d, sig_d, body.sig_p, rsg, now)
         e6 = sym_encrypt(derive_key(z), E6Body(sig_d, c_d, s6, now).encode(),
                          self._rng)
         self.sk_dc = sk_dc
@@ -369,9 +433,8 @@ class Cloud:
     def hup_challenge(self, msg: HupMsg1, now: int) -> HupMsg2:
         check_freshness(now, msg.t_h1, self.delta_t_ms)
         b = random_scalar(self._rng)
-        t_h1 = encode_timestamp(msg.t_h1)
-        s1 = verifier_digest(msg.id_h, msg.a.to_bytes(), b.to_bytes(), t_h1)
-        k1 = computing_key_digest(msg.id_h, msg.a.to_bytes(), t_h1)
+        s1 = s1_digest(msg.id_h, msg.a, b, msg.t_h1)
+        k1 = k1_digest(msg.id_h, msg.a, msg.t_h1)
         e1 = sym_encrypt(derive_key(k1), E1Body(b, s1, now).encode(), self._rng)
         self._hup = {"id_h": msg.id_h, "a": msg.a, "b": b, "s1": s1,
                      "t_h1": msg.t_h1, "t_c2": now}
@@ -382,13 +445,10 @@ class Cloud:
         ctx = self._hup
         if not ctx:
             raise RecordIncomplete("no outstanding challenge")
-        abg = dh_point(ctx["a"], ctx["b"])
-        sk_ch = session_key_digest(ctx["id_h"], ctx["s1"], abg.encode(),
-                                   encode_timestamp(ctx["t_c2"]))
+        sk_ch = sk_hc_digest(ctx["id_h"], ctx["s1"], dh_point(ctx["a"], ctx["b"]),
+                             ctx["t_c2"])
         body = E2Body.decode(sym_decrypt(derive_key(sk_ch), msg.e2))
-        s2 = verifier_digest(sk_ch, body.c_h.encode(), body.sig_h,
-                             encode_timestamp(msg.t_h3))
-        if s2 != body.s2:
+        if s2_digest(sk_ch, body.c_h, body.sig_h, msg.t_h3) != body.s2:
             raise DigestMismatch("upload digest S2 mismatch")
         record = CloudRecord(nid=body.nid, id_p=body.id_p,
                              sn=random_scalar(self._rng),
@@ -406,13 +466,11 @@ class Cloud:
         if record is None:
             raise UnknownPatient("no record for presented identity/pseudonym")
         c = random_scalar(self._rng)
-        t_c5 = encode_timestamp(now)
-        s3 = verifier_digest(msg.nid, msg.id_p, record.c_h.encode(),
-                             record.sig_h, c.to_bytes(), t_c5)
+        s3 = s3_digest(msg.nid, msg.id_p, record.c_h, record.sig_h, c, now)
         e3 = sym_encrypt(derive_key(record.sn),
                          E3Body(record.sig_h, record.c_h, s3, self.id_h, c, now).encode(),
                          self._rng)
-        i_mask = mask_serial(record.sn, mask_digest(msg.nid, msg.id_p))
+        i_mask = mask_serial(record.sn, mask_i_digest(msg.nid, msg.id_p))
         self._pup = {"record": record, "c": c, "s3": s3, "t_c5": now}
         return PupMsg2(e3, i_mask, now)
 
@@ -424,12 +482,9 @@ class Cloud:
         record = ctx["record"]
         body = E4Body.decode(sym_decrypt(derive_key(record.sn), msg.e4))
         cdg = dh_point(ctx["c"], body.d)
-        t_c5 = encode_timestamp(ctx["t_c5"])
-        sk_cp = session_key_digest(record.id_p, self.id_h, record.c_h.encode(),
-                                   ctx["s3"], cdg.encode(), t_c5)
-        s4 = verifier_digest(sk_cp, body.c_p.encode(), body.sig_p, ctx["s3"],
-                             cdg.encode(), encode_timestamp(msg.t_p3))
-        if s4 != body.s4:
+        sk_cp = sk_pc_digest(record.id_p, self.id_h, record.c_h, ctx["s3"], cdg,
+                             ctx["t_c5"])
+        if s4_digest(sk_cp, body.c_p, body.sig_p, ctx["s3"], cdg, msg.t_p3) != body.s4:
             raise DigestMismatch("upload digest S4 mismatch")
         record.c_p = body.c_p
         record.sig_p = body.sig_p
@@ -448,14 +503,13 @@ class Cloud:
         if record is None or record.c_p is None:
             raise RecordIncomplete("patient upload has not completed")
         s = random_scalar(self._rng)
-        t_c8 = encode_timestamp(now)
-        s5 = verifier_digest(record.id_p, msg.id_d, record.sig_h, record.sig_p,
-                             record.c_p.encode(), t_c8)
+        s5 = s5_digest(record.id_p, msg.id_d, record.sig_h, record.sig_p, record.c_p,
+                       now)
         e5 = sym_encrypt(derive_key(record.sn),
                          E5Body(record.sig_p, record.sig_h, record.id_p,
                                 record.nid, record.c_p, s, s5, now).encode(),
                          self._rng)
-        j_mask = mask_serial(record.sn, mask_digest(msg.id_d, msg.r.to_bytes()))
+        j_mask = mask_serial(record.sn, mask_j_digest(msg.id_d, msg.r))
         self._tp = {"record": record, "id_d": msg.id_d, "r": msg.r, "s": s,
                     "s5": s5, "t_c8": now}
         return TpMsg2(e5, j_mask, now)
@@ -467,14 +521,13 @@ class Cloud:
             raise RecordIncomplete("no outstanding treatment response")
         record = ctx["record"]
         body = E6Body.decode(sym_decrypt(derive_key(record.sn), msg.e6))
-        t_d3 = encode_timestamp(msg.t_d3)
-        s6 = verifier_digest(record.id_p, ctx["id_d"], body.c_d.encode(),
-                             body.sig_d, record.sig_p, t_d3)
+        s6 = s6_digest(record.id_p, ctx["id_d"], body.c_d, body.sig_d, record.sig_p,
+                       msg.t_d3)
         if s6 != body.s6:
             raise DigestMismatch("treatment digest S6 mismatch")
         rsg = dh_point(ctx["r"], ctx["s"])
-        sk_cd = session_key_digest(s6, record.id_p, ctx["id_d"], body.sig_d,
-                                   record.sig_p, rsg.encode(), t_d3)
+        sk_cd = sk_dc_digest(s6, record.id_p, ctx["id_d"], body.sig_d, record.sig_p,
+                             rsg, msg.t_d3)
         record.c_d = body.c_d
         record.sig_d = body.sig_d
         self.sk_cd = sk_cd
@@ -494,9 +547,8 @@ class Cloud:
         y = random_scalar(self._rng)
         xyg = dh_point(msg.x, y)
         id_d = self.appointments[msg.id_p]
-        t_c11 = encode_timestamp(now)
-        s7 = verifier_digest(self.sk_cp, record.id_p, id_d, record.c_d.encode(),
-                             xyg.encode(), record.sig_p, t_c11)
+        s7 = s7_digest(self.sk_cp, record.id_p, id_d, record.c_d, xyg, record.sig_p,
+                       now)
         e7 = sym_encrypt(derive_key(self.sk_cp),
                          E7Body(id_d, record.sig_d, record.c_d, s7, y, now).encode(),
                          self._rng)
@@ -511,9 +563,8 @@ class Cloud:
         record = ctx["record"]
         body = E8Body.decode(sym_decrypt(derive_key(self.sk_cp), msg.e8))
         xyg = dh_point(ctx["x"], ctx["y"])
-        s8 = verifier_digest(self.sk_cp, ctx["s7"], body.c_e.encode(),
-                             record.sig_p, record.sig_d, xyg.encode(),
-                             encode_timestamp(msg.t_p6))
+        s8 = s8_digest(self.sk_cp, ctx["s7"], body.c_e, record.sig_p, record.sig_d,
+                       xyg, msg.t_p6)
         if s8 != body.s8:
             raise DigestMismatch("checkup digest S8 mismatch")
         record.c_e = body.c_e

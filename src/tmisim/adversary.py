@@ -15,9 +15,15 @@ authenticated decryption it attempts fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .actors import CloudRecord, computing_key_digest
+from .actors import (
+    VARIANT_A,
+    VARIANT_B,
+    CloudRecord,
+    c_h_key_digest,
+    report_key_digest,
+)
 from .errors import AttackFailed, AuthFailure
 from .messages import (
     CHANNEL_PUBLIC,
@@ -62,7 +68,7 @@ class PassiveView:
 
     @classmethod
     def from_outcome(cls, outcome) -> "PassiveView":
-        return cls(public_messages=list(outcome.transcript.public_messages()))
+        return cls.from_transcript(outcome.transcript)
 
     @classmethod
     def from_transcript(cls, transcript: Transcript) -> "PassiveView":
@@ -81,16 +87,7 @@ class AttackReport:
     success: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "derived_keys": [list(k) for k in self.derived_keys],
-            "opened": list(self.opened),
-            "reveals": dict(sorted(self.reveals.items())),
-            "details": dict(sorted(self.details.items())),
-            "verdicts": dict(sorted(self.verdicts.items())),
-            "attempts": self.attempts,
-            "success": self.success,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"attack mode: {self.mode}", f"attempts: {self.attempts}"]
@@ -109,11 +106,6 @@ class AttackReport:
         return "\n".join(lines) + "\n"
 
 
-def _report_json(report: MedicalReport) -> dict:
-    return {"kind": report.kind, "patient": report.patient.hex(),
-            "payload": report.payload.hex()}
-
-
 def _single_record(view: InsiderView) -> CloudRecord:
     if not view.cloud_db:
         raise AttackFailed("cloud database is empty; nothing was stored")
@@ -121,27 +113,32 @@ def _single_record(view: InsiderView) -> CloudRecord:
 
 
 def _insider_key_candidates(view: InsiderView, record: CloudRecord):
-    """Both report-key derivations the database makes possible."""
-    candidates = []
+    """The variant A and variant B report keys, where the database holds
+    their inputs."""
     id_h = view.cloud_session.get("id_h")
-    if id_h is not None:
-        candidates.append(("h(id_p||id_h||nid)",
-                           computing_key_digest(record.id_p, id_h, record.nid)))
     id_d = view.cloud_session.get("appointments", {}).get(record.id_p)
+    inputs = {"id_p": record.id_p, "id_h": id_h, "nid": record.nid,
+              "id_d": id_d, "sn": record.sn}
+    candidates = []
+    if id_h is not None:
+        candidates.append(("h(id_p||id_h||nid)", report_key_digest(VARIANT_A, **inputs)))
     if id_d is not None:
-        candidates.append(("h(id_p||id_d||sn)",
-                           computing_key_digest(record.id_p, id_d,
-                                                record.sn.to_bytes())))
+        candidates.append(("h(id_p||id_d||sn)", report_key_digest(VARIANT_B, **inputs)))
     return candidates
 
 
-def _open_bundle(candidates, ciphertext, expected: int):
-    for name, digest in candidates:
+def _reveal_bundle(view: InsiderView, name: str, expected: int, missing: str):
+    """Open the row's ciphertext `name` under whichever report key opens it."""
+    record = _single_record(view)
+    ciphertext = getattr(record, name)
+    if ciphertext is None:
+        raise AttackFailed(missing)
+    for _key_name, digest in _insider_key_candidates(view, record):
         try:
             data = sym_decrypt(derive_key(digest), ciphertext)
         except AuthFailure:
             continue
-        return name, decode_report_bundle(data, expected)
+        return decode_report_bundle(data, expected)
     raise AttackFailed("no derivable key opens the ciphertext")
 
 
@@ -153,7 +150,7 @@ def insider_reveal_inspection(view: InsiderView) -> MedicalReport:
     id_h = view.cloud_session.get("id_h")
     if id_h is None:
         raise AttackFailed("hospital identity not present in cloud state")
-    key = computing_key_digest(record.id_p, id_h, record.nid)
+    key = c_h_key_digest(record.id_p, id_h, record.nid)
     try:
         data = sym_decrypt(derive_key(key), record.c_h)
     except AuthFailure as exc:
@@ -163,22 +160,12 @@ def insider_reveal_inspection(view: InsiderView) -> MedicalReport:
 
 def insider_reveal_patient_bundle(view: InsiderView):
     """Recover (inspection, sensor) reports from the upload ciphertext."""
-    record = _single_record(view)
-    if record.c_p is None:
-        raise AttackFailed("patient upload has not completed")
-    _, reports = _open_bundle(_insider_key_candidates(view, record),
-                              record.c_p, 2)
-    return reports
+    return _reveal_bundle(view, "c_p", 2, "patient upload has not completed")
 
 
 def insider_reveal_treatment_bundle(view: InsiderView):
     """Recover all three reports from the treatment ciphertext."""
-    record = _single_record(view)
-    if record.c_d is None:
-        raise AttackFailed("treatment phase has not completed")
-    _, reports = _open_bundle(_insider_key_candidates(view, record),
-                              record.c_d, 3)
-    return reports
+    return _reveal_bundle(view, "c_d", 3, "treatment phase has not completed")
 
 
 _REVEALS = (
@@ -202,9 +189,8 @@ def insider_attack(view: InsiderView) -> AttackReport:
         try:
             result = reveal(view)
         except AttackFailed as exc:
-            applicable = record is not None and getattr(
-                record, {"C_H": "c_h", "C_P": "c_p", "C_D": "c_d"}[ct_name]
-            ) is not None
+            applicable = (record is not None
+                          and getattr(record, ct_name.lower()) is not None)
             report.reveals[step] = (REVEAL_FAILED if applicable
                                     else REVEAL_NOT_APPLICABLE)
             if applicable:
@@ -213,7 +199,7 @@ def insider_attack(view: InsiderView) -> AttackReport:
             continue
         reports = result if isinstance(result, tuple) else (result,)
         report.opened.append({"ciphertext": ct_name,
-                              "reports": [_report_json(r) for r in reports]})
+                              "reports": [r.to_dict() for r in reports]})
         report.reveals[step] = REVEAL_RECOVERED
         any_recovered = True
     report.verdicts["report_confidentiality"] = (

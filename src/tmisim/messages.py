@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple, Optional
 
 from .errors import MalformedMessage, StaleTimestamp
 from .primitives import Ciphertext, Scalar
@@ -58,6 +58,10 @@ class MedicalReport:
     def __post_init__(self):
         if self.kind not in REPORT_KINDS:
             raise ValueError(f"unknown report kind {self.kind!r}")
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "patient": self.patient.hex(),
+                "payload": self.payload.hex()}
 
     def encode(self) -> bytes:
         return (bytes([_KIND_CODE[self.kind]])
@@ -115,52 +119,40 @@ def decode_report_bundle(data: bytes, expected: int):
 
 
 # ── schema-driven field codecs ──────────────────────────────────────────
-# kinds: bytes (variable), scalar (32), digest (32), signature (64),
-#        timestamp (8, unsigned ms), ciphertext (nonce|tag|body)
+# kind -> (fixed length or None, to bytes, from bytes); a timestamp is
+# unsigned milliseconds, a ciphertext nonce|tag|body
+
+_KINDS = {
+    "bytes": (None, bytes, bytes),
+    "scalar": (None, Scalar.to_bytes, Scalar.from_bytes),
+    "digest": (32, bytes, bytes),
+    "signature": (64, bytes, bytes),
+    "timestamp": (8, encode_timestamp, lambda data: int.from_bytes(data, "big")),
+    "ciphertext": (None, Ciphertext.encode, Ciphertext.decode),
+}
+
 
 def _field_to_bytes(value, kind: str) -> bytes:
-    if kind == "bytes":
-        return bytes(value)
-    if kind == "scalar":
-        return value.to_bytes()
-    if kind == "digest":
-        if len(value) != 32:
-            raise ValueError("digest must be 32 bytes")
-        return bytes(value)
-    if kind == "signature":
-        if len(value) != 64:
-            raise ValueError("signature must be 64 bytes")
-        return bytes(value)
-    if kind == "timestamp":
-        return encode_timestamp(value)
-    if kind == "ciphertext":
-        return value.encode()
-    raise ValueError(f"unknown field kind {kind!r}")
+    size, to_bytes, _ = _KINDS[kind]
+    data = to_bytes(value)
+    if size is not None and len(data) != size:
+        raise ValueError(f"{kind} must be {size} bytes")
+    return data
 
 
 def _field_from_bytes(data: bytes, kind: str):
+    size, _, from_bytes = _KINDS[kind]
     try:
-        if kind == "bytes":
-            return bytes(data)
-        if kind == "scalar":
-            return Scalar.from_bytes(data)
-        if kind == "digest":
-            if len(data) != 32:
-                raise ValueError
-            return bytes(data)
-        if kind == "signature":
-            if len(data) != 64:
-                raise ValueError
-            return bytes(data)
-        if kind == "timestamp":
-            if len(data) != 8:
-                raise ValueError
-            return int.from_bytes(data, "big")
-        if kind == "ciphertext":
-            return Ciphertext.decode(data)
+        if size is not None and len(data) != size:
+            raise ValueError
+        return from_bytes(data)
     except ValueError:
         raise MalformedMessage(f"bad {kind} field") from None
-    raise MalformedMessage(f"unknown field kind {kind!r}")
+
+
+def field_of_kind(cls, kind: str) -> Optional[str]:
+    """The first field of `cls` with codec `kind`, or None if it has none."""
+    return next((name for name, k in cls.FIELDS if k == kind), None)
 
 
 class _Struct:
@@ -381,25 +373,44 @@ class CpMsg3(_Struct):
     FIELDS = (("e8", "ciphertext"), ("t_p6", "timestamp"))
 
 
-WIRE_MESSAGES = (HupMsg1, HupMsg2, HupMsg3, PupMsg1, PupMsg2, PupMsg3,
-                 TpMsg1, TpMsg2, TpMsg3, CpMsg1, CpMsg2, CpMsg3)
+class MessageSpec(NamedTuple):
+    """One wire message. A step is (label, actor method): the receiver runs
+    `receive`; a message that opens a phase names the `send` step its
+    sender runs, any other is the reply of the step before it."""
 
-# sender, receiver, channel for each message type
-MESSAGE_ROUTE = {
-    "HupMsg1": (ROLE_HOSPITAL, ROLE_CLOUD, CHANNEL_SECURE),
-    "HupMsg2": (ROLE_CLOUD, ROLE_HOSPITAL, CHANNEL_PUBLIC),
-    "HupMsg3": (ROLE_HOSPITAL, ROLE_CLOUD, CHANNEL_PUBLIC),
-    "PupMsg1": (ROLE_PATIENT, ROLE_CLOUD, CHANNEL_SECURE),
-    "PupMsg2": (ROLE_CLOUD, ROLE_PATIENT, CHANNEL_PUBLIC),
-    "PupMsg3": (ROLE_PATIENT, ROLE_CLOUD, CHANNEL_PUBLIC),
-    "TpMsg1": (ROLE_DOCTOR, ROLE_CLOUD, CHANNEL_SECURE),
-    "TpMsg2": (ROLE_CLOUD, ROLE_DOCTOR, CHANNEL_PUBLIC),
-    "TpMsg3": (ROLE_DOCTOR, ROLE_CLOUD, CHANNEL_PUBLIC),
-    "CpMsg1": (ROLE_PATIENT, ROLE_CLOUD, CHANNEL_SECURE),
-    "CpMsg2": (ROLE_CLOUD, ROLE_PATIENT, CHANNEL_PUBLIC),
-    "CpMsg3": (ROLE_PATIENT, ROLE_CLOUD, CHANNEL_PUBLIC),
-}
+    cls: type
+    phase: str
+    sender: str
+    receiver: str
+    channel: str
+    receive: tuple
+    send: Optional[tuple] = None
 
+
+_H, _P, _D, _C = ROLE_HOSPITAL, ROLE_PATIENT, ROLE_DOCTOR, ROLE_CLOUD
+_SECURE, _PUBLIC = CHANNEL_SECURE, CHANNEL_PUBLIC
+
+# the twelve messages in transcript order
+PROTOCOL = (
+    MessageSpec(HupMsg1, "hup", _H, _C, _SECURE, ("c_challenge", "hup_challenge"),
+                ("h_init", "hup_init")),
+    MessageSpec(HupMsg2, "hup", _C, _H, _PUBLIC, ("h_upload", "hup_upload")),
+    MessageSpec(HupMsg3, "hup", _H, _C, _PUBLIC, ("c_store", "hup_store")),
+    MessageSpec(PupMsg1, "pup", _P, _C, _SECURE, ("c_respond", "pup_respond"),
+                ("p_request", "pup_request")),
+    MessageSpec(PupMsg2, "pup", _C, _P, _PUBLIC, ("p_upload", "pup_upload")),
+    MessageSpec(PupMsg3, "pup", _P, _C, _PUBLIC, ("c_store", "pup_store")),
+    MessageSpec(TpMsg1, "tp", _D, _C, _SECURE, ("c_respond", "tp_respond"),
+                ("d_request", "tp_request")),
+    MessageSpec(TpMsg2, "tp", _C, _D, _PUBLIC, ("d_prescribe", "tp_prescribe")),
+    MessageSpec(TpMsg3, "tp", _D, _C, _PUBLIC, ("c_store", "tp_store")),
+    MessageSpec(CpMsg1, "cp", _P, _C, _SECURE, ("c_respond", "cp_respond"),
+                ("p_request", "cp_request")),
+    MessageSpec(CpMsg2, "cp", _C, _P, _PUBLIC, ("p_collect", "cp_collect")),
+    MessageSpec(CpMsg3, "cp", _P, _C, _PUBLIC, ("c_store", "cp_store")),
+)
+MESSAGE_SPEC = {spec.cls: spec for spec in PROTOCOL}
+WIRE_MESSAGES = tuple(MESSAGE_SPEC)
 _BY_NAME = {cls.__name__: cls for cls in WIRE_MESSAGES}
 
 
@@ -418,12 +429,11 @@ class ChannelMessage:
 
 
 def make_channel_message(payload, sent_at: int) -> ChannelMessage:
-    name = type(payload).__name__
-    sender, receiver, channel = MESSAGE_ROUTE[name]
-    return ChannelMessage(sender, receiver, channel, sent_at, payload)
+    spec = MESSAGE_SPEC[type(payload)]
+    return ChannelMessage(spec.sender, spec.receiver, spec.channel, sent_at, payload)
 
 
-# ── JSON transcript encoding ────────────────────────────────────────────
+# ── JSON encoding of schema'd values (transcript lines, cloud rows) ────
 
 def _json_value(value, kind: str):
     if kind == "timestamp":
@@ -437,7 +447,8 @@ def _json_value(value, kind: str):
 def _value_from_json(raw, kind: str):
     try:
         if kind == "timestamp":
-            if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
+            if (not isinstance(raw, int) or isinstance(raw, bool)
+                    or not 0 <= raw < 1 << 64):  # 8 bytes on the wire
                 raise ValueError
             return raw
         if kind == "ciphertext":
@@ -446,7 +457,20 @@ def _value_from_json(raw, kind: str):
                               tag=bytes.fromhex(raw["tag"]))
         return _field_from_bytes(bytes.fromhex(raw), kind)
     except (ValueError, KeyError, TypeError, AttributeError):
-        raise MalformedMessage(f"bad {kind} value in transcript") from None
+        raise MalformedMessage(f"bad {kind} value") from None
+
+
+def fields_to_json(obj) -> dict:
+    """The JSON object of a schema'd value's fields; an unset field is null."""
+    return {name: None if (value := getattr(obj, name)) is None
+            else _json_value(value, kind) for name, kind in obj.FIELDS}
+
+
+def fields_from_json(cls, raw: dict) -> dict:
+    """Keyword arguments for `cls` from its JSON fields; null and absent
+    fields are left out."""
+    return {name: _value_from_json(raw[name], kind)
+            for name, kind in cls.FIELDS if raw.get(name) is not None}
 
 
 def serialize(message: ChannelMessage) -> bytes:
@@ -458,8 +482,7 @@ def serialize(message: ChannelMessage) -> bytes:
         "channel": message.channel,
         "sent_at": message.sent_at,
         "type": type(payload).__name__,
-        "fields": {name: _json_value(getattr(payload, name), kind)
-                   for name, kind in payload.FIELDS},
+        "fields": fields_to_json(payload),
     }
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
@@ -482,7 +505,8 @@ def deserialize(data: bytes) -> ChannelMessage:
         raise MalformedMessage("transcript line is missing required keys") from None
     if not isinstance(sent_at, int) or isinstance(sent_at, bool) or sent_at < 0:
         raise MalformedMessage("bad sent_at")
-    if set(raw_fields) != {name for name, _ in cls.FIELDS}:
+    if (not isinstance(raw_fields, dict)
+            or set(raw_fields) != {name for name, _ in cls.FIELDS}):
         raise MalformedMessage(f"field set mismatch for {cls.__name__}")
     values = [_value_from_json(raw_fields[name], kind) for name, kind in cls.FIELDS]
     return ChannelMessage(sender, receiver, channel, sent_at, cls(*values))

@@ -27,11 +27,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
-from .errors import InvalidPoint, ProtocolError
+from .errors import InvalidPoint, MalformedMessage, ProtocolError
 from .messages import (
-    WIRE_MESSAGES,
+    MESSAGE_SPEC,
+    PROTOCOL,
+    ROLE_CLOUD,
+    ROLE_DOCTOR,
+    ROLE_HOSPITAL,
+    ROLE_PATIENT,
     MedicalReport,
     Transcript,
+    field_of_kind,
+    fields_from_json,
+    fields_to_json,
     make_channel_message,
 )
 from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
@@ -39,7 +47,7 @@ from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
 DEFAULT_DELTA_T_MS = 2000
 DEFAULT_TICK_MS = 10
 
-SESSION_MESSAGES = len(WIRE_MESSAGES)
+SESSION_MESSAGES = len(PROTOCOL)
 
 FAULT_TAMPER = "tamper"
 FAULT_DELAY = "delay"
@@ -94,8 +102,11 @@ class ScenarioConfig:
                 raise ValueError(f"unknown fault action {fault.action!r}")
             if not 0 <= fault.target < SESSION_MESSAGES:
                 raise ValueError("fault target must be a message index 0..11")
-            message_cls = WIRE_MESSAGES[fault.target]
-            if fault.action == FAULT_TAMPER and _ciphertext_field(message_cls) is None:
+            if fault.delay_ms < 0:
+                raise ValueError("delay_ms must be non-negative")
+            message_cls = PROTOCOL[fault.target].cls
+            if (fault.action == FAULT_TAMPER
+                    and field_of_kind(message_cls, "ciphertext") is None):
                 raise ValueError(f"{message_cls.__name__} (message {fault.target}) "
                                  "carries no ciphertext to tamper")
 
@@ -125,42 +136,14 @@ class SessionOutcome:
         return self.abort is None
 
 
-# receiving step for each wire message type: (phase, step name, actor attr, method)
-_RECEIVE = {
-    "HupMsg1": ("hup", "c_challenge", "cloud", "hup_challenge"),
-    "HupMsg2": ("hup", "h_upload", "hospital", "hup_upload"),
-    "HupMsg3": ("hup", "c_store", "cloud", "hup_store"),
-    "PupMsg1": ("pup", "c_respond", "cloud", "pup_respond"),
-    "PupMsg2": ("pup", "p_upload", "patient", "pup_upload"),
-    "PupMsg3": ("pup", "c_store", "cloud", "pup_store"),
-    "TpMsg1": ("tp", "c_respond", "cloud", "tp_respond"),
-    "TpMsg2": ("tp", "d_prescribe", "doctor", "tp_prescribe"),
-    "TpMsg3": ("tp", "c_store", "cloud", "tp_store"),
-    "CpMsg1": ("cp", "c_respond", "cloud", "cp_respond"),
-    "CpMsg2": ("cp", "p_collect", "patient", "cp_collect"),
-    "CpMsg3": ("cp", "c_store", "cloud", "cp_store"),
-}
-
-# the step that opens each phase, by the transcript index of the message
-# it sends: (phase, step name, actor attr, method); every other message
-# is the reply returned by receiving the one before it
-_STARTERS = {
-    0: ("hup", "h_init", "hospital", "hup_init"),
-    3: ("pup", "p_request", "patient", "pup_request"),
-    6: ("tp", "d_request", "doctor", "tp_request"),
-    9: ("cp", "p_request", "patient", "cp_request"),
-}
+# the _Session attribute holding each role's actor
+_ACTOR = {ROLE_HOSPITAL: "hospital", ROLE_PATIENT: "patient",
+          ROLE_DOCTOR: "doctor", ROLE_CLOUD: "cloud"}
 _COLLECT = 10  # receiving CpMsg2 returns the reply and the recovered reports
 
 
-def _ciphertext_field(message_cls) -> Optional[str]:
-    """The field a tamper fault flips a byte of, or None for a plain message."""
-    return next((name for name, kind in message_cls.FIELDS if kind == "ciphertext"),
-                None)
-
-
 def _tampered(payload, offset: int):
-    name = _ciphertext_field(type(payload))
+    name = field_of_kind(type(payload), "ciphertext")
     raw = bytearray(getattr(payload, name).encode())
     raw[offset % len(raw)] ^= 0x01
     return dataclasses.replace(payload, **{name: Ciphertext.decode(bytes(raw))})
@@ -218,18 +201,20 @@ class _Session:
         return payload
 
     def _receive(self, payload):
-        phase, step, actor, method = _RECEIVE[type(payload).__name__]
-        self._phase, self._step = phase, step
-        return getattr(getattr(self, actor), method)(payload, self.now)
+        spec = MESSAGE_SPEC[type(payload)]
+        self._phase, (self._step, method) = spec.phase, spec.receive
+        return getattr(getattr(self, _ACTOR[spec.receiver]), method)(payload, self.now)
 
     def step(self) -> None:
         """Send the next message and run its receiving step; a ProtocolError
         from either side becomes the session's abort."""
         index = len(self.transcript)
+        spec = PROTOCOL[index]
         try:
-            if index in _STARTERS:
-                self._phase, self._step, actor, method = _STARTERS[index]
-                self._pending = getattr(getattr(self, actor), method)(self.now)
+            if spec.send is not None:
+                self._phase, (self._step, method) = spec.phase, spec.send
+                self._pending = getattr(getattr(self, _ACTOR[spec.sender]), method)(
+                    self.now)
             reply = self._receive(self._transmit(self._pending))
         except ProtocolError as exc:
             self.abort = AbortInfo(self._phase, self._step,
@@ -338,16 +323,7 @@ class CampaignStats:
     variant: str
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "completions": self.completions,
-            "aborts_by_error": dict(sorted(self.aborts_by_error.items())),
-            "aborts_by_step": dict(sorted(self.aborts_by_step.items())),
-            "key_agreements": self.key_agreements,
-            "reports_recovered": self.reports_recovered,
-            "first_seed": self.first_seed,
-            "variant": self.variant,
-        }
+        return dataclasses.asdict(self)
 
 
 def iter_campaign(base: ScenarioConfig, n_seeds: int):
@@ -399,11 +375,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "m_h": cfg.payload_m_h.hex(),
             "m_b": cfg.payload_m_b.hex(),
         },
-        "faults": [
-            {"target": f.target, "action": f.action,
-             "offset": f.offset, "delay_ms": f.delay_ms}
-            for f in cfg.faults
-        ],
+        "faults": [dataclasses.asdict(f) for f in cfg.faults],
     }
 
 
@@ -452,49 +424,14 @@ def load_config(path: str) -> ScenarioConfig:
 
 # ── artifact (de)serialization ──────────────────────────────────────────
 
-def _ct_json(ct: Ciphertext) -> dict:
-    return {"nonce": ct.nonce.hex(), "body": ct.body.hex(), "tag": ct.tag.hex()}
-
-
-def _ct_from_json(data: dict) -> Ciphertext:
-    return Ciphertext(nonce=bytes.fromhex(data["nonce"]),
-                      body=bytes.fromhex(data["body"]),
-                      tag=bytes.fromhex(data["tag"]))
-
-
 def record_to_dict(record: CloudRecord) -> dict:
-    out = {
-        "type": "cloud_record",
-        "nid": record.nid.hex(),
-        "id_p": record.id_p.hex(),
-        "sn": record.sn.to_bytes().hex(),
-        "sig_h": record.sig_h.hex(),
-        "c_h": _ct_json(record.c_h),
-    }
-    for name in ("sig_p", "sig_d"):
-        value = getattr(record, name)
-        out[name] = value.hex() if value is not None else None
-    for name in ("c_p", "c_d", "c_e"):
-        value = getattr(record, name)
-        out[name] = _ct_json(value) if value is not None else None
-    return out
+    return {"type": "cloud_record", **fields_to_json(record)}
 
 
 def record_from_dict(data: dict) -> CloudRecord:
     try:
-        return CloudRecord(
-            nid=bytes.fromhex(data["nid"]),
-            id_p=bytes.fromhex(data["id_p"]),
-            sn=Scalar.from_bytes(bytes.fromhex(data["sn"])),
-            sig_h=bytes.fromhex(data["sig_h"]),
-            c_h=_ct_from_json(data["c_h"]),
-            sig_p=bytes.fromhex(data["sig_p"]) if data.get("sig_p") else None,
-            c_p=_ct_from_json(data["c_p"]) if data.get("c_p") else None,
-            sig_d=bytes.fromhex(data["sig_d"]) if data.get("sig_d") else None,
-            c_d=_ct_from_json(data["c_d"]) if data.get("c_d") else None,
-            c_e=_ct_from_json(data["c_e"]) if data.get("c_e") else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return CloudRecord(**fields_from_json(CloudRecord, data))
+    except (TypeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud record: {exc}") from None
 
 
@@ -528,7 +465,15 @@ def session_values_to_dict(values: dict) -> dict:
 
 
 def session_values_from_dict(data: dict) -> dict:
-    return {k: _session_value_from_json(v) for k, v in data["values"].items()}
+    try:
+        values = {k: _session_value_from_json(v) for k, v in data["values"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"bad cloud session state: {exc}") from None
+    # the values an insider reads must have the types the cloud exports
+    if (not isinstance(values.get("id_h", b""), bytes)
+            or not isinstance(values.get("appointments", {}), dict)):
+        raise ValueError("bad cloud session state: id_h or appointments mistyped")
+    return values
 
 
 def cloud_db_to_jsonl(outcome: SessionOutcome) -> bytes:
@@ -549,12 +494,13 @@ def cloud_db_from_jsonl(data: bytes):
             obj = json.loads(line)
         except ValueError as exc:
             raise ValueError(f"bad db line: {exc}") from None
-        if obj.get("type") == "cloud_record":
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        if kind == "cloud_record":
             records.append(record_from_dict(obj))
-        elif obj.get("type") == "cloud_session_state":
+        elif kind == "cloud_session_state":
             session = session_values_from_dict(obj)
         else:
-            raise ValueError(f"unknown db line type {obj.get('type')!r}")
+            raise ValueError(f"unknown db line type {kind!r}")
     return records, session
 
 
@@ -574,25 +520,31 @@ def registry_to_dict(outcome: SessionOutcome) -> dict:
 
 def registry_from_dict(data: dict) -> dict:
     try:
-        return {
+        registry = {
             "id_h": bytes.fromhex(data["id_h"]),
             "id_d": bytes.fromhex(data["id_d"]),
             "pk_h": GroupPoint.decode(bytes.fromhex(data["pk_h"])),
             "pk_p": GroupPoint.decode(bytes.fromhex(data["pk_p"])),
             "pk_d": GroupPoint.decode(bytes.fromhex(data["pk_d"])),
-            "variant": str(data["variant"]),
-            "delta_t_ms": int(data["delta_t_ms"]),
-            "tick_ms": int(data["tick_ms"]),
+            "variant": data["variant"],
+            "delta_t_ms": data["delta_t_ms"],
+            "tick_ms": data["tick_ms"],
         }
     except (KeyError, TypeError, ValueError, InvalidPoint) as exc:
         raise ValueError(f"bad registry: {exc}") from None
+    if registry["variant"] not in VARIANTS:
+        raise ValueError(f"bad registry: variant must be one of {VARIANTS}")
+    for name in ("delta_t_ms", "tick_ms"):
+        value = registry[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            raise ValueError(f"bad registry: {name} must be a positive integer")
+    return registry
 
 
 def outcome_to_dict(outcome: SessionOutcome) -> dict:
     reports = None
     if outcome.recovered_reports is not None:
-        reports = [{"kind": r.kind, "patient": r.patient.hex(),
-                    "payload": r.payload.hex()} for r in outcome.recovered_reports]
+        reports = [r.to_dict() for r in outcome.recovered_reports]
     return {
         "seed": outcome.config.seed,
         "variant": outcome.config.variant,

@@ -17,12 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actors import (
-    computing_key_digest,
-    mask_digest,
+    c_h_key_digest,
+    k1_digest,
+    mask_i_digest,
+    mask_j_digest,
     report_digest,
     report_key_digest,
-    session_key_digest,
-    verifier_digest,
+    s1_digest,
+    s2_digest,
+    s3_digest,
+    s4_digest,
+    s5_digest,
+    s6_digest,
+    s7_digest,
+    s8_digest,
+    sk_hc_digest,
+    sk_pc_digest,
 )
 from .errors import AuthFailure, MalformedMessage
 from .messages import (
@@ -34,24 +44,25 @@ from .messages import (
     E6Body,
     E7Body,
     E8Body,
-    MESSAGE_ROUTE,
+    MESSAGE_SPEC,
+    WIRE_MESSAGES,
     Transcript,
     decode_report_bundle,
-    encode_timestamp,
+    field_of_kind,
 )
-from .primitives import derive_key, dh_point, sym_decrypt, unmask_serial, verify
+from .primitives import Scalar, derive_key, dh_point, sym_decrypt, unmask_serial, verify
 
-_EXPECTED_SEQUENCE = ("HupMsg1", "HupMsg2", "HupMsg3", "PupMsg1", "PupMsg2",
-                      "PupMsg3", "TpMsg1", "TpMsg2", "TpMsg3", "CpMsg1",
-                      "CpMsg2", "CpMsg3")
 
-# the timestamp field carried by each message type
-_TS_FIELD = {
-    "HupMsg1": "t_h1", "HupMsg2": "t_c2", "HupMsg3": "t_h3",
-    "PupMsg1": "t_p1", "PupMsg2": "t_c5", "PupMsg3": "t_p3",
-    "TpMsg1": "t_d1", "TpMsg2": "t_c8", "TpMsg3": "t_d3",
-    "CpMsg1": "t_p4", "CpMsg2": "t_c11", "CpMsg3": "t_p6",
-}
+def _show(value) -> str:
+    """A compared value for a check's detail: bytes-like values in hex,
+    timestamps in milliseconds, several values joined by '/'."""
+    if isinstance(value, tuple):
+        return "/".join(map(_show, value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Scalar):
+        return value.to_bytes().hex()
+    return (value if isinstance(value, bytes) else value.encode()).hex()
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,16 @@ class _Checks:
         return all(r.ok for r in self.results)
 
 
+class _Unreached(Exception):
+    """A check's input is missing: it and every check after it are not run."""
+
+
+def _need(value):
+    if value is None:
+        raise _Unreached
+    return value
+
+
 def verify_transcript(transcript: Transcript, registry: dict | None = None,
                       delta_t_ms: int | None = None):
     """Run every offline check; returns a list of CheckResult."""
@@ -82,18 +103,19 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
         delta_t_ms = registry["delta_t_ms"] if registry else 2000
 
     messages = list(transcript)
-    by_type = {}
-    sequence_ok = len(messages) <= len(_EXPECTED_SEQUENCE)
+    payloads = {}  # the first payload of each message type
+    sequence_ok = len(messages) <= len(WIRE_MESSAGES)
     for i, cm in enumerate(messages):
-        name = type(cm.payload).__name__
-        if i < len(_EXPECTED_SEQUENCE) and name != _EXPECTED_SEQUENCE[i]:
+        spec = MESSAGE_SPEC[type(cm.payload)]
+        name = spec.cls.__name__
+        if i < len(WIRE_MESSAGES) and spec.cls is not WIRE_MESSAGES[i]:
             sequence_ok = False
-        by_type.setdefault(name, cm)
-        route = MESSAGE_ROUTE[name]
+        payloads.setdefault(name, cm.payload)
         checks.add(f"channel_label[{i}]",
-                   (cm.sender, cm.receiver, cm.channel) == route,
+                   (cm.sender, cm.receiver, cm.channel)
+                   == (spec.sender, spec.receiver, spec.channel),
                    f"{name} routed {cm.sender}->{cm.receiver} on {cm.channel}")
-        ts = getattr(cm.payload, _TS_FIELD[name])
+        ts = getattr(cm.payload, field_of_kind(spec.cls, "timestamp"))
         checks.add(f"timestamp_consistency[{i}]", ts == cm.sent_at,
                    f"{name} stamped {ts} but sent at {cm.sent_at}")
     checks.add("sequence", sequence_ok,
@@ -103,186 +125,124 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
         checks.add(f"freshness_gap[{i}]", 0 < gap <= delta_t_ms,
                    f"{gap}ms between consecutive transmissions")
 
-    def take(name):
-        cm = by_type.get(name)
-        return cm.payload if cm is not None else None
+    try:
+        _derived_checks(checks, payloads, registry)
+    except _Unreached:
+        pass
+    return checks.results
 
-    def opens(check_name, key_digest, ct, body_cls):
+
+def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
+    """Re-derive keys, reopen ciphertexts and recompute digests, in order."""
+    def take(name):
+        return _need(payloads.get(name))
+
+    def expect(check_name, what, expected, found):
+        ok = expected == found
+        return checks.add(check_name, ok, "" if ok else
+                          f"{what} expected {_show(expected)}, found {_show(found)}")
+
+    def opens(check_name, key_digest, ct, decode):
         try:
-            body = body_cls.decode(sym_decrypt(derive_key(key_digest), ct))
+            body = decode(sym_decrypt(derive_key(key_digest), ct))
         except (AuthFailure, MalformedMessage) as exc:
             checks.add(check_name, False, str(exc))
             return None
         checks.add(check_name, True)
         return body
 
-    m1 = take("HupMsg1")
-    m2 = take("HupMsg2")
-    if m1 is None or m2 is None:
-        return checks.results
-    t_h1 = encode_timestamp(m1.t_h1)
-    k1 = computing_key_digest(m1.id_h, m1.a.to_bytes(), t_h1)
-    e1 = opens("e1_opens", k1, m2.e1, E1Body)
-    if e1 is None:
-        return checks.results
-    checks.add("s1", e1.s1 == verifier_digest(m1.id_h, m1.a.to_bytes(),
-                                              e1.b.to_bytes(), t_h1))
-    checks.add("e1_inner_timestamp", e1.t_c2 == m2.t_c2)
+    def bundle(count):
+        return lambda data: decode_report_bundle(data, count)
+
+    m1, m2 = take("HupMsg1"), take("HupMsg2")
+    e1 = _need(opens("e1_opens", k1_digest(m1.id_h, m1.a, m1.t_h1), m2.e1,
+                     E1Body.decode))
+    expect("s1", "S1", s1_digest(m1.id_h, m1.a, e1.b, m1.t_h1), e1.s1)
+    expect("e1_inner_timestamp", "E1 t_c2", m2.t_c2, e1.t_c2)
 
     m3 = take("HupMsg3")
-    if m3 is None:
-        return checks.results
-    abg = dh_point(m1.a, e1.b)
-    sk_hc = session_key_digest(m1.id_h, e1.s1, abg.encode(),
-                               encode_timestamp(m2.t_c2))
-    e2 = opens("e2_opens", sk_hc, m3.e2, E2Body)
-    if e2 is None:
-        return checks.results
-    checks.add("s2", e2.s2 == verifier_digest(sk_hc, e2.c_h.encode(), e2.sig_h,
-                                              encode_timestamp(m3.t_h3)))
-    k2 = computing_key_digest(e2.id_p, m1.id_h, e2.nid)
-    m_h = None
-    try:
-        m_h = decode_report_bundle(sym_decrypt(derive_key(k2), e2.c_h), 1)[0]
-        checks.add("c_h_opens", True)
-        checks.add("inspection_subject", m_h.patient == e2.id_p)
-    except (AuthFailure, MalformedMessage) as exc:
-        checks.add("c_h_opens", False, str(exc))
-    if registry and m_h is not None:
-        checks.add("sig_h", verify(registry["pk_h"], report_digest(m_h), e2.sig_h))
+    sk_hc = sk_hc_digest(m1.id_h, e1.s1, dh_point(m1.a, e1.b), m2.t_c2)
+    e2 = _need(opens("e2_opens", sk_hc, m3.e2, E2Body.decode))
+    expect("s2", "S2", s2_digest(sk_hc, e2.c_h, e2.sig_h, m3.t_h3), e2.s2)
+    m_h = opens("c_h_opens", c_h_key_digest(e2.id_p, m1.id_h, e2.nid), e2.c_h,
+                lambda data: decode_report_bundle(data, 1)[0])
+    if m_h is not None:
+        expect("inspection_subject", "m_H patient", e2.id_p, m_h.patient)
+        if registry:
+            checks.add("sig_h", verify(registry["pk_h"], report_digest(m_h), e2.sig_h))
 
     m4 = take("PupMsg1")
-    if m4 is None:
-        return checks.results
     checks.add("pup_identity", m4.id_p == e2.id_p and m4.nid == e2.nid,
                "upload request names the registered patient")
 
     # the serial is only derivable once CpMsg1 discloses it
-    m10 = take("CpMsg1")
-    sn = m10.sn if m10 is not None else None
+    m10 = payloads.get("CpMsg1")
     if m10 is not None:
         checks.add("cp_identity", m10.id_p == m4.id_p and m10.nid == m4.nid,
                    f"CpMsg1 id_p/nid expected {m4.id_p.hex()}/{m4.nid.hex()} "
                    f"(as in PupMsg1), found {m10.id_p.hex()}/{m10.nid.hex()}")
     m5 = take("PupMsg2")
-    if m5 is None or sn is None:
-        return checks.results
-    checks.add("mask_i", unmask_serial(m5.i_mask,
-                                       mask_digest(m4.nid, m4.id_p)) == sn)
-    e3 = opens("e3_opens", sn, m5.e3, E3Body)
-    if e3 is None:
-        return checks.results
-    t_c5 = encode_timestamp(m5.t_c5)
-    checks.add("s3", e3.s3 == verifier_digest(m4.nid, m4.id_p, e3.c_h.encode(),
-                                              e3.sig_h, e3.c.to_bytes(), t_c5))
-    checks.add("e3_consistency", e3.id_h == m1.id_h and e3.c_h == e2.c_h
-               and e3.sig_h == e2.sig_h)
+    sn = _need(m10).sn
+    expect("mask_i", "serial unmasked from i", sn,
+           unmask_serial(m5.i_mask, mask_i_digest(m4.nid, m4.id_p)))
+    e3 = _need(opens("e3_opens", sn, m5.e3, E3Body.decode))
+    expect("s3", "S3", s3_digest(m4.nid, m4.id_p, e3.c_h, e3.sig_h, e3.c, m5.t_c5),
+           e3.s3)
+    expect("e3_consistency", "E3 id_h/c_h/sig_h", (m1.id_h, e2.c_h, e2.sig_h),
+           (e3.id_h, e3.c_h, e3.sig_h))
 
     m6 = take("PupMsg3")
-    if m6 is None:
-        return checks.results
-    e4 = opens("e4_opens", sn, m6.e4, E4Body)
-    if e4 is None:
-        return checks.results
+    e4 = _need(opens("e4_opens", sn, m6.e4, E4Body.decode))
     cdg = dh_point(e3.c, e4.d)
-    sk_pc = session_key_digest(m4.id_p, m1.id_h, e2.c_h.encode(), e3.s3,
-                               cdg.encode(), t_c5)
-    checks.add("s4", e4.s4 == verifier_digest(sk_pc, e4.c_p.encode(), e4.sig_p,
-                                              e3.s3, cdg.encode(),
-                                              encode_timestamp(m6.t_p3)))
+    sk_pc = sk_pc_digest(m4.id_p, m1.id_h, e2.c_h, e3.s3, cdg, m5.t_c5)
+    expect("s4", "S4", s4_digest(sk_pc, e4.c_p, e4.sig_p, e3.s3, cdg, m6.t_p3), e4.s4)
     m_b = None
     if registry:
-        k_pd = report_key_digest(registry["variant"], id_p=m4.id_p,
-                                 id_h=m1.id_h, nid=m4.nid,
-                                 id_d=registry["id_d"], sn=sn)
-        try:
-            bundle = decode_report_bundle(sym_decrypt(derive_key(k_pd), e4.c_p), 2)
-            checks.add("c_p_opens", True)
-            checks.add("c_p_inspection_match",
-                       m_h is None or bundle[0] == m_h)
-            m_b = bundle[1]
-        except (AuthFailure, MalformedMessage) as exc:
-            checks.add("c_p_opens", False, str(exc))
-        if m_b is not None:
-            checks.add("sig_p", verify(registry["pk_p"], report_digest(m_b),
-                                       e4.sig_p))
+        k_pd = report_key_digest(registry["variant"], id_p=m4.id_p, id_h=m1.id_h,
+                                 nid=m4.nid, id_d=registry["id_d"], sn=sn)
+        pair = opens("c_p_opens", k_pd, e4.c_p, bundle(2))
+        if pair is not None:
+            checks.add("c_p_inspection_match", m_h is None or pair[0] == m_h)
+            m_b = pair[1]
+            checks.add("sig_p", verify(registry["pk_p"], report_digest(m_b), e4.sig_p))
 
     m7 = take("TpMsg1")
-    if m7 is None:
-        return checks.results
     if registry:
-        checks.add("doctor_identity", m7.id_d == registry["id_d"])
+        expect("doctor_identity", "TpMsg1 id_d", registry["id_d"], m7.id_d)
     m8 = take("TpMsg2")
-    if m8 is None:
-        return checks.results
-    checks.add("mask_j", unmask_serial(m8.j_mask,
-                                       mask_digest(m7.id_d, m7.r.to_bytes())) == sn)
-    e5 = opens("e5_opens", sn, m8.e5, E5Body)
-    if e5 is None:
-        return checks.results
-    checks.add("s5", e5.s5 == verifier_digest(e5.id_p, m7.id_d, e5.sig_h,
-                                              e5.sig_p, e5.c_p.encode(),
-                                              encode_timestamp(m8.t_c8)))
-    checks.add("e5_consistency", e5.c_p == e4.c_p and e5.sig_p == e4.sig_p
-               and e5.id_p == m4.id_p and e5.nid == m4.nid)
+    expect("mask_j", "serial unmasked from j", sn,
+           unmask_serial(m8.j_mask, mask_j_digest(m7.id_d, m7.r)))
+    e5 = _need(opens("e5_opens", sn, m8.e5, E5Body.decode))
+    expect("s5", "S5", s5_digest(e5.id_p, m7.id_d, e5.sig_h, e5.sig_p, e5.c_p,
+                                 m8.t_c8), e5.s5)
+    expect("e5_consistency", "E5 c_p/sig_p/id_p/nid",
+           (e4.c_p, e4.sig_p, m4.id_p, m4.nid), (e5.c_p, e5.sig_p, e5.id_p, e5.nid))
 
     m9 = take("TpMsg3")
-    if m9 is None:
-        return checks.results
-    e6 = opens("e6_opens", sn, m9.e6, E6Body)
-    if e6 is None:
-        return checks.results
-    t_d3 = encode_timestamp(m9.t_d3)
-    checks.add("s6", e6.s6 == verifier_digest(e5.id_p, m7.id_d, e6.c_d.encode(),
-                                              e6.sig_d, e5.sig_p, t_d3))
+    e6 = _need(opens("e6_opens", sn, m9.e6, E6Body.decode))
+    expect("s6", "S6", s6_digest(e5.id_p, m7.id_d, e6.c_d, e6.sig_d, e5.sig_p,
+                                 m9.t_d3), e6.s6)
     m_d = None
     if registry:
-        k_pd = report_key_digest(registry["variant"], id_p=m4.id_p,
-                                 id_h=m1.id_h, nid=m4.nid,
-                                 id_d=registry["id_d"], sn=sn)
-        try:
-            triple = decode_report_bundle(sym_decrypt(derive_key(k_pd), e6.c_d), 3)
-            checks.add("c_d_opens", True)
-            checks.add("c_d_bundle_match",
-                       (m_h is None or triple[0] == m_h)
+        triple = opens("c_d_opens", k_pd, e6.c_d, bundle(3))
+        if triple is not None:
+            checks.add("c_d_bundle_match", (m_h is None or triple[0] == m_h)
                        and (m_b is None or triple[1] == m_b))
             m_d = triple[2]
-        except (AuthFailure, MalformedMessage) as exc:
-            checks.add("c_d_opens", False, str(exc))
-        if m_d is not None:
-            checks.add("sig_d", verify(registry["pk_d"], report_digest(m_d),
-                                       e6.sig_d))
+            checks.add("sig_d", verify(registry["pk_d"], report_digest(m_d), e6.sig_d))
 
     m11 = take("CpMsg2")
-    if m10 is None or m11 is None:
-        return checks.results
-    e7 = opens("e7_opens", sk_pc, m11.e7, E7Body)
-    if e7 is None:
-        return checks.results
+    e7 = _need(opens("e7_opens", sk_pc, m11.e7, E7Body.decode))
     xyg = dh_point(m10.x, e7.y)
-    checks.add("s7", e7.s7 == verifier_digest(sk_pc, m10.id_p, e7.id_d,
-                                              e7.c_d.encode(), xyg.encode(),
-                                              e4.sig_p,
-                                              encode_timestamp(m11.t_c11)))
-    checks.add("e7_consistency", e7.c_d == e6.c_d and e7.sig_d == e6.sig_d)
+    expect("s7", "S7", s7_digest(sk_pc, m10.id_p, e7.id_d, e7.c_d, xyg, e4.sig_p,
+                                 m11.t_c11), e7.s7)
+    expect("e7_consistency", "E7 c_d/sig_d", (e6.c_d, e6.sig_d), (e7.c_d, e7.sig_d))
 
     m12 = take("CpMsg3")
-    if m12 is None:
-        return checks.results
-    e8 = opens("e8_opens", sk_pc, m12.e8, E8Body)
-    if e8 is None:
-        return checks.results
-    checks.add("s8", e8.s8 == verifier_digest(sk_pc, e7.s7, e8.c_e.encode(),
-                                              e4.sig_p, e6.sig_d, xyg.encode(),
-                                              encode_timestamp(m12.t_p6)))
+    e8 = _need(opens("e8_opens", sk_pc, m12.e8, E8Body.decode))
+    expect("s8", "S8", s8_digest(sk_pc, e7.s7, e8.c_e, e4.sig_p, e6.sig_d, xyg,
+                                 m12.t_p6), e8.s8)
     if registry:
-        k_pd = report_key_digest(registry["variant"], id_p=m4.id_p,
-                                 id_h=m1.id_h, nid=m4.nid,
-                                 id_d=registry["id_d"], sn=sn)
-        try:
-            triple = decode_report_bundle(sym_decrypt(derive_key(k_pd), e8.c_e), 3)
-            checks.add("c_e_opens", True)
+        triple = opens("c_e_opens", k_pd, e8.c_e, bundle(3))
+        if triple is not None:
             checks.add("c_e_bundle_match", m_d is None or triple[2] == m_d)
-        except (AuthFailure, MalformedMessage) as exc:
-            checks.add("c_e_opens", False, str(exc))
-    return checks.results

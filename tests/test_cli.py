@@ -43,9 +43,13 @@ class TestSimulate:
 
     def test_bad_schema_is_malformed(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"variant": "Q"}))
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 3
+        for bad in ({"variant": "Q"},
+                    # a delay that would run the clock backwards
+                    {"faults": [{"target": 1, "action": "delay", "delay_ms": -5000}]}):
+            cfg.write_text(json.dumps(bad))
+            for command in ("simulate", "campaign"):
+                assert main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / "o")]) == 3, (bad, command)
 
     def test_fault_abort_exits_one_and_names_step(self, tmp_path, capsys):
         cfg = tmp_path / "fault.json"
@@ -148,12 +152,22 @@ class TestAttack:
                      "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
                      "--mode", "insider"]) == 2
 
-    def test_malformed_db(self, artifacts, tmp_path):
+    def test_malformed_db(self, artifacts, tmp_path, capsys):
+        record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
+        values = json.loads(state)["values"]
+        mistyped = json.dumps({"type": "cloud_session_state", "values": {
+            **values, "appointments": {"bytes": "00"}}})
         bad = tmp_path / "bad_db.jsonl"
-        bad.write_text("definitely not json\n")
-        assert main(["attack",
-                     "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
-                     "--db", str(bad), "--mode", "insider"]) == 3
+        for text in ("definitely not json",
+                     "[1, 2]",
+                     '{"type": "cloud_session_state"}',
+                     '{"type": "cloud_session_state", "values": {"x": 5}}',
+                     f"{record}\n{mistyped}"):
+            bad.write_text(text + "\n")
+            assert main(["attack",
+                         "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                         "--db", str(bad), "--mode", "insider"]) == 3, text
+            assert "error: malformed input" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -195,18 +209,24 @@ class TestVerify:
         alone.write_bytes((artifacts / sim.TRANSCRIPT_FILE).read_bytes())
         assert main(["verify", "--transcript", str(alone)]) == 0
 
-    @pytest.mark.parametrize("corrupt", ["bad_prefix", "x_out_of_range", "off_curve"])
+    @pytest.mark.parametrize("corrupt", ["bad_prefix", "x_out_of_range", "off_curve",
+                                         "unknown_variant", "bool_window",
+                                         "zero_tick"])
     def test_corrupted_registry_key_malformed(self, artifacts, tmp_path,
                                               capsys, corrupt):
         registry = json.loads((artifacts / sim.REGISTRY_FILE).read_text())
         x = 1
         while pow((x**3 - 3 * x + B) % P, (P - 1) // 2, P) == 1:
             x += 1  # first x with no curve point
-        registry["pk_h"] = {
-            "bad_prefix": "05" + registry["pk_h"][2:],
-            "x_out_of_range": "02" + P.to_bytes(32, "big").hex(),
-            "off_curve": "02" + x.to_bytes(32, "big").hex(),
+        name, value = {
+            "bad_prefix": ("pk_h", "05" + registry["pk_h"][2:]),
+            "x_out_of_range": ("pk_h", "02" + P.to_bytes(32, "big").hex()),
+            "off_curve": ("pk_h", "02" + x.to_bytes(32, "big").hex()),
+            "unknown_variant": ("variant", "Z"),
+            "bool_window": ("delta_t_ms", True),
+            "zero_tick": ("tick_ms", 0),
         }[corrupt]
+        registry[name] = value
         path = tmp_path / "registry.json"
         path.write_text(json.dumps(registry))
         code = main(["verify",

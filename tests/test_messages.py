@@ -89,10 +89,15 @@ class TestWireRoundtrip:
 
     def test_channel_labels(self):
         secure = {"HupMsg1", "PupMsg1", "TpMsg1", "CpMsg1"}
-        for cls in msgs.WIRE_MESSAGES:
-            _s, _r, channel = msgs.MESSAGE_ROUTE[cls.__name__]
-            expected = msgs.CHANNEL_SECURE if cls.__name__ in secure else msgs.CHANNEL_PUBLIC
-            assert channel == expected
+        for spec in msgs.PROTOCOL:
+            expected = (msgs.CHANNEL_SECURE if spec.cls.__name__ in secure
+                        else msgs.CHANNEL_PUBLIC)
+            assert spec.channel == expected
+
+    @pytest.mark.parametrize("cls", msgs.WIRE_MESSAGES, ids=lambda c: c.__name__)
+    def test_one_timestamp_field(self, cls):
+        stamps = [name for name, kind in cls.FIELDS if kind == "timestamp"]
+        assert len(stamps) == 1 and msgs.field_of_kind(cls, "timestamp") == stamps[0]
 
 
 _BODIES = (msgs.E1Body, msgs.E2Body, msgs.E3Body, msgs.E4Body,

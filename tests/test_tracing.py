@@ -1,0 +1,52 @@
+"""The traced benchmark still finds every symbol it wraps.
+
+``perfbench/tracing.py`` locates what it times by module and attribute
+path; a refactor that moves one of those symbols would silently drop
+its span from the per-layer metrics.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    module = importlib.import_module("tracing")
+    yield module
+    sys.modules.pop("tracing", None)
+
+
+@pytest.fixture
+def modules(tracing):
+    return SimpleNamespace(**{name: importlib.import_module(f"tmisim.{name}")
+                              for name in tracing.LAYERS})
+
+
+def test_every_span_and_counter_patches_something(tracing, modules, monkeypatch):
+    for table in ("SPANS", "COUNTERS"):
+        for name, location in getattr(tracing, table).items():
+            monkeypatch.setattr(tracing, "SPANS", {})
+            monkeypatch.setattr(tracing, "COUNTERS", {})
+            monkeypatch.setattr(tracing, table, {name: location})
+            assert tracing.Tracer(modules)._patches, f"{name} -> {location} patches nothing"
+
+
+def test_install_and_restore(tracing, modules):
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert all(vars(owner)[attr] is wrapper
+                   for owner, attr, _original, wrapper in tracer._patches)
+        modules.verifier.verify_transcript(modules.messages.Transcript())
+        assert tracer.spans[0][0] == "verifier.verify_transcript"
+    finally:
+        tracer.restore()
+    assert all(vars(owner)[attr] is original
+               for owner, attr, original, _wrapper in tracer._patches)
