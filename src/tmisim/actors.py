@@ -19,7 +19,7 @@ point is computed from the scalar product rather than a point exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (
@@ -215,9 +215,9 @@ class Directory:
     pk_d: GroupPoint
 
 
-@dataclass
+@dataclass(frozen=True)
 class CloudRecord:
-    """The cloud's database row for one patient; fields fill in phase order."""
+    """The cloud's database row for one patient; each phase stores a filled-in copy."""
 
     nid: bytes
     id_p: bytes
@@ -229,8 +229,7 @@ class CloudRecord:
     sig_d: Optional[bytes] = None
     c_d: Optional[Ciphertext] = None
     c_e: Optional[Ciphertext] = None
-    # the JSON codec's schema; not a _Struct, whose copies share one object,
-    # because later phases fill a row in place
+    # the JSON codec's schema
     FIELDS = (("nid", "bytes"), ("id_p", "bytes"), ("sn", "scalar"),
               ("sig_h", "signature"), ("c_h", "ciphertext"), ("sig_p", "signature"),
               ("c_p", "ciphertext"), ("sig_d", "signature"), ("c_d", "ciphertext"),
@@ -411,11 +410,16 @@ class Doctor:
         return TpMsg3(e6, now)
 
 
+def _context(**values) -> tuple:
+    # a phase's saved values as (name, value) pairs: immutable, like the rows
+    return tuple(values.items())
+
+
 class Cloud:
     """Cloud server C: the hub of all four phases and keeper of the database."""
 
     def __init__(self, *, appointments: dict, delta_t_ms: int, rng: SeededRng):
-        self.appointments = dict(appointments)  # id_p -> appointed id_d
+        self.appointments = tuple(appointments.items())  # (id_p, appointed id_d)
         self.delta_t_ms = delta_t_ms
         self._rng = rng
         self.db: dict = {}                      # (id_p, nid) -> CloudRecord
@@ -423,10 +427,7 @@ class Cloud:
         self.sk_ch: Optional[bytes] = None
         self.sk_cp: Optional[bytes] = None
         self.sk_cd: Optional[bytes] = None
-        self._hup: dict = {}
-        self._pup: dict = {}
-        self._tp: dict = {}
-        self._cp: dict = {}
+        self._hup = self._pup = self._tp = self._cp = ()
 
     # ── HUP ─────────────────────────────────────────────────────────
 
@@ -436,13 +437,12 @@ class Cloud:
         s1 = s1_digest(msg.id_h, msg.a, b, msg.t_h1)
         k1 = k1_digest(msg.id_h, msg.a, msg.t_h1)
         e1 = sym_encrypt(derive_key(k1), E1Body(b, s1, now).encode(), self._rng)
-        self._hup = {"id_h": msg.id_h, "a": msg.a, "b": b, "s1": s1,
-                     "t_h1": msg.t_h1, "t_c2": now}
+        self._hup = _context(id_h=msg.id_h, a=msg.a, b=b, s1=s1, t_h1=msg.t_h1, t_c2=now)
         return HupMsg2(e1, now)
 
     def hup_store(self, msg: HupMsg3, now: int) -> CloudRecord:
         check_freshness(now, msg.t_h3, self.delta_t_ms)
-        ctx = self._hup
+        ctx = dict(self._hup)
         if not ctx:
             raise RecordIncomplete("no outstanding challenge")
         sk_ch = sk_hc_digest(ctx["id_h"], ctx["s1"], dh_point(ctx["a"], ctx["b"]),
@@ -471,35 +471,35 @@ class Cloud:
                          E3Body(record.sig_h, record.c_h, s3, self.id_h, c, now).encode(),
                          self._rng)
         i_mask = mask_serial(record.sn, mask_i_digest(msg.nid, msg.id_p))
-        self._pup = {"record": record, "c": c, "s3": s3, "t_c5": now}
+        self._pup = _context(row=(msg.id_p, msg.nid), c=c, s3=s3, t_c5=now)
         return PupMsg2(e3, i_mask, now)
 
     def pup_store(self, msg: PupMsg3, now: int) -> CloudRecord:
         check_freshness(now, msg.t_p3, self.delta_t_ms)
-        ctx = self._pup
+        ctx = dict(self._pup)
         if not ctx:
             raise RecordIncomplete("no outstanding upload response")
-        record = ctx["record"]
+        record = self.db[ctx["row"]]
         body = E4Body.decode(sym_decrypt(derive_key(record.sn), msg.e4))
         cdg = dh_point(ctx["c"], body.d)
         sk_cp = sk_pc_digest(record.id_p, self.id_h, record.c_h, ctx["s3"], cdg,
                              ctx["t_c5"])
         if s4_digest(sk_cp, body.c_p, body.sig_p, ctx["s3"], cdg, msg.t_p3) != body.s4:
             raise DigestMismatch("upload digest S4 mismatch")
-        record.c_p = body.c_p
-        record.sig_p = body.sig_p
+        record = self.db[ctx["row"]] = replace(record, c_p=body.c_p, sig_p=body.sig_p)
         self.sk_cp = sk_cp
-        ctx["d"] = body.d
+        self._pup = _context(**dict(ctx, d=body.d))
         return record
 
     # ── TP ──────────────────────────────────────────────────────────
 
     def tp_respond(self, msg: TpMsg1, now: int) -> TpMsg2:
         check_freshness(now, msg.t_d1, self.delta_t_ms)
-        id_p = next((p for p, d in self.appointments.items() if d == msg.id_d), None)
+        id_p = next((p for p, d in self.appointments if d == msg.id_d), None)
         if id_p is None:
             raise UnknownDoctor("requesting doctor is not appointed")
-        record = next((r for (p, _n), r in self.db.items() if p == id_p), None)
+        row = next((key for key in self.db if key[0] == id_p), None)
+        record = self.db.get(row)
         if record is None or record.c_p is None:
             raise RecordIncomplete("patient upload has not completed")
         s = random_scalar(self._rng)
@@ -510,16 +510,15 @@ class Cloud:
                                 record.nid, record.c_p, s, s5, now).encode(),
                          self._rng)
         j_mask = mask_serial(record.sn, mask_j_digest(msg.id_d, msg.r))
-        self._tp = {"record": record, "id_d": msg.id_d, "r": msg.r, "s": s,
-                    "s5": s5, "t_c8": now}
+        self._tp = _context(row=row, id_d=msg.id_d, r=msg.r, s=s, s5=s5, t_c8=now)
         return TpMsg2(e5, j_mask, now)
 
     def tp_store(self, msg: TpMsg3, now: int) -> CloudRecord:
         check_freshness(now, msg.t_d3, self.delta_t_ms)
-        ctx = self._tp
+        ctx = dict(self._tp)
         if not ctx:
             raise RecordIncomplete("no outstanding treatment response")
-        record = ctx["record"]
+        record = self.db[ctx["row"]]
         body = E6Body.decode(sym_decrypt(derive_key(record.sn), msg.e6))
         s6 = s6_digest(record.id_p, ctx["id_d"], body.c_d, body.sig_d, record.sig_p,
                        msg.t_d3)
@@ -528,8 +527,7 @@ class Cloud:
         rsg = dh_point(ctx["r"], ctx["s"])
         sk_cd = sk_dc_digest(s6, record.id_p, ctx["id_d"], body.sig_d, record.sig_p,
                              rsg, msg.t_d3)
-        record.c_d = body.c_d
-        record.sig_d = body.sig_d
+        record = self.db[ctx["row"]] = replace(record, c_d=body.c_d, sig_d=body.sig_d)
         self.sk_cd = sk_cd
         return record
 
@@ -546,28 +544,28 @@ class Cloud:
             raise SerialMismatch("presented serial does not match the record")
         y = random_scalar(self._rng)
         xyg = dh_point(msg.x, y)
-        id_d = self.appointments[msg.id_p]
+        id_d = dict(self.appointments)[msg.id_p]
         s7 = s7_digest(self.sk_cp, record.id_p, id_d, record.c_d, xyg, record.sig_p,
                        now)
         e7 = sym_encrypt(derive_key(self.sk_cp),
                          E7Body(id_d, record.sig_d, record.c_d, s7, y, now).encode(),
                          self._rng)
-        self._cp = {"record": record, "x": msg.x, "y": y, "s7": s7, "t_c11": now}
+        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now)
         return CpMsg2(e7, now)
 
     def cp_store(self, msg: CpMsg3, now: int) -> CloudRecord:
         check_freshness(now, msg.t_p6, self.delta_t_ms)
-        ctx = self._cp
+        ctx = dict(self._cp)
         if not ctx:
             raise RecordIncomplete("no outstanding checkup response")
-        record = ctx["record"]
+        record = self.db[ctx["row"]]
         body = E8Body.decode(sym_decrypt(derive_key(self.sk_cp), msg.e8))
         xyg = dh_point(ctx["x"], ctx["y"])
         s8 = s8_digest(self.sk_cp, ctx["s7"], body.c_e, record.sig_p, record.sig_d,
                        xyg, msg.t_p6)
         if s8 != body.s8:
             raise DigestMismatch("checkup digest S8 mismatch")
-        record.c_e = body.c_e
+        record = self.db[ctx["row"]] = replace(record, c_e=body.c_e)
         return record
 
     # ── insider-facing view of legitimately held values ─────────────
@@ -587,8 +585,8 @@ class Cloud:
                 out[name] = value
         for phase, ctx in (("hup", self._hup), ("pup", self._pup),
                            ("tp", self._tp), ("cp", self._cp)):
-            for key, value in ctx.items():
-                if key == "record":
+            for key, value in ctx:
+                if key == "row":
                     continue
                 out[f"{phase}.{key}"] = value
         return out

@@ -140,6 +140,9 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.delta_t_ms is not None and args.delta_t_ms <= 0:
+        print("error: --delta-t-ms must be positive", file=sys.stderr)
+        return EXIT_MALFORMED
     if not os.path.exists(args.transcript):
         print(f"error: file not found: {args.transcript}", file=sys.stderr)
         return EXIT_USAGE

@@ -160,9 +160,6 @@ class _Struct:
 
     FIELDS: ClassVar[tuple] = ()
 
-    def __deepcopy__(self, memo):
-        return self  # every payload is frozen, so copies of a session share it
-
     def encode(self) -> bytes:
         out = bytearray()
         for name, kind in self.FIELDS:
@@ -423,9 +420,6 @@ class ChannelMessage:
     channel: str
     sent_at: int
     payload: object
-
-    def __deepcopy__(self, memo):
-        return self  # frozen, so copies of a transcript share it
 
 
 def make_channel_message(payload, sent_at: int) -> ChannelMessage:

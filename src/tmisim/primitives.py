@@ -106,9 +106,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def __deepcopy__(self, memo):
-        return self  # never mutated, so copies of a session share it
-
     def mul_mod(self, other: "Scalar") -> "Scalar":
         return Scalar(self.value * other.value % ORDER)
 
@@ -155,9 +152,6 @@ class GroupPoint:
 
     def __eq__(self, other):
         return isinstance(other, GroupPoint) and self.x == other.x and self.y == other.y
-
-    def __deepcopy__(self, memo):
-        return self  # never mutated, so copies of a session share it
 
     def __hash__(self):
         return hash(("GroupPoint", self.x, self.y))
@@ -262,9 +256,6 @@ class Ciphertext:
 
     def encode(self) -> bytes:
         return self.nonce + self.tag + self.body
-
-    def __deepcopy__(self, memo):
-        return self  # frozen, so copies of a session share it
 
     @classmethod
     def decode(cls, data: bytes) -> "Ciphertext":

@@ -184,6 +184,22 @@ class _Session:
     def finished(self) -> bool:
         return self.abort is not None or len(self.transcript) == SESSION_MESSAGES
 
+    def fork(self) -> "_Session":
+        """A copy that runs on independently of this session. It copies what a
+        step changes in place: the session, its actors and their random
+        streams, the cloud's db, the transcript and the replay results. The
+        rest (messages, points, scalars, keys, rows, config, directory) is
+        immutable, so the copy shares it."""
+        twin = copy.copy(self)
+        for name in _ACTOR.values():
+            actor = copy.copy(getattr(self, name))
+            actor._rng = copy.copy(actor._rng)
+            setattr(twin, name, actor)
+        twin.cloud.db = dict(self.cloud.db)
+        twin.transcript = Transcript(self.transcript)
+        twin.replay_rejections = list(self.replay_rejections)
+        return twin
+
     # one transmission: record what goes on the wire (post-fault), then
     # advance the clock before the receiving side runs
     def _transmit(self, payload):
@@ -269,7 +285,7 @@ class _Checkpoints:
 
     def __init__(self, cfg: ScenarioConfig):
         self.live = _Session(cfg)
-        self.snapshots = [copy.deepcopy(self.live)]  # [i]: before step i
+        self.snapshots = [self.live.fork()]  # [i]: before step i
 
     def fork(self, index: int) -> _Session:
         """A private copy of the session before step `index`, or before the
@@ -278,8 +294,8 @@ class _Checkpoints:
         while len(snapshots) <= index and not live.finished:
             live.step()
             if live.abort is None:
-                snapshots.append(copy.deepcopy(live))
-        return copy.deepcopy(snapshots[min(index, len(snapshots) - 1)])
+                snapshots.append(live.fork())
+        return snapshots[min(index, len(snapshots) - 1)].fork()
 
 
 # only the most recent base is kept: a fault sweep shares one
@@ -379,6 +395,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+def _int(data: dict, name: str, default=None) -> int:
+    value = data.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
@@ -387,15 +410,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         ids = data.get("ids", {})
         payloads = data.get("payloads", {})
         faults = tuple(
-            FaultInjection(target=int(f["target"]), action=str(f["action"]),
-                           offset=int(f.get("offset", 0)),
-                           delay_ms=int(f.get("delay_ms", 0)))
+            FaultInjection(target=_int(f, "target"), action=str(f["action"]),
+                           offset=_int(f, "offset", 0),
+                           delay_ms=_int(f, "delay_ms", 0))
             for f in data.get("faults", ())
         )
         cfg = ScenarioConfig(
-            seed=int(data.get("seed", base.seed)),
-            delta_t_ms=int(data.get("delta_t_ms", base.delta_t_ms)),
-            tick_ms=int(data.get("tick_ms", base.tick_ms)),
+            seed=_int(data, "seed", base.seed),
+            delta_t_ms=_int(data, "delta_t_ms", base.delta_t_ms),
+            tick_ms=_int(data, "tick_ms", base.tick_ms),
             variant=str(data.get("variant", base.variant)),
             id_p=ids.get("patient", base.id_p.decode()).encode("utf-8"),
             id_h=ids.get("hospital", base.id_h.decode()).encode("utf-8"),

@@ -45,7 +45,12 @@ class TestSimulate:
         cfg = tmp_path / "bad.json"
         for bad in ({"variant": "Q"},
                     # a delay that would run the clock backwards
-                    {"faults": [{"target": 1, "action": "delay", "delay_ms": -5000}]}):
+                    {"faults": [{"target": 1, "action": "delay", "delay_ms": -5000}]},
+                    # read as a 1 ms window or delay, or as seed 2, if coerced
+                    {"seed": 3, "delta_t_ms": True},
+                    {"seed": 2.9},
+                    {"seed": "3"},
+                    {"faults": [{"target": 1, "action": "delay", "delay_ms": True}]}):
             cfg.write_text(json.dumps(bad))
             for command in ("simulate", "campaign"):
                 assert main([command, "--config", str(cfg),
@@ -198,6 +203,12 @@ class TestVerify:
         truncated = tmp_path / "truncated.jsonl"
         truncated.write_bytes(data[:len(data) // 2])
         assert main(["verify", "--transcript", str(truncated)]) == 3
+
+    @pytest.mark.parametrize("window", ["-5", "0"])
+    def test_non_positive_window_malformed(self, artifacts, capsys, window):
+        assert main(["verify", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--delta-t-ms", window]) == 3
+        assert "FAILED" not in capsys.readouterr().out
 
     def test_missing_transcript_usage_error(self, tmp_path):
         assert main(["verify", "--transcript", str(tmp_path / "nope")]) == 2

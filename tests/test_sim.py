@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmisim import sim
-from tmisim.messages import CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript
+from tmisim.messages import (CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript,
+                             fields_to_json)
+from tmisim.primitives import GroupPoint, Scalar
 from tmisim.sim import FaultInjection, ScenarioConfig, run_campaign, run_full_session
 
 _EXPECTED_TYPES = ["HupMsg1", "HupMsg2", "HupMsg3", "PupMsg1", "PupMsg2",
@@ -184,6 +186,15 @@ class TestConfig:
         {"faults": [{"target": 1, "action": "explode"}]},
         {"payloads": {"m_h": "zz"}},
         [],
+        # numbers must be JSON integers, not booleans, floats or strings
+        {"seed": 3, "delta_t_ms": True},
+        {"tick_ms": True},
+        {"seed": 2.9},
+        {"seed": "3"},
+        {"faults": [{"target": 1, "action": "delay", "delay_ms": True}]},
+        {"faults": [{"target": "4", "action": "tamper"}]},
+        {"faults": [{"target": 4, "action": "tamper", "offset": 1.5}]},
+        {"faults": [{"action": "replay"}]},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -250,6 +261,34 @@ def _fresh(cfg):
 
 def _faulted(base, *faults):
     return dataclasses.replace(base, faults=faults)
+
+
+def _reachable(root):
+    """Every object reachable from `root` through attributes and container
+    items, by id."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += obj
+        else:
+            todo += vars(obj).values() if hasattr(obj, "__dict__") else ()
+            todo += [getattr(obj, name) for cls in type(obj).__mro__
+                     for name in getattr(cls, "__slots__", ()) if hasattr(obj, name)]
+    return seen
+
+
+def _immutable(obj) -> bool:
+    if isinstance(obj, tuple):
+        return all(_immutable(item) for item in obj)
+    return (isinstance(obj, (bytes, int, str, type(None), Scalar, GroupPoint))
+            or (dataclasses.is_dataclass(obj)
+                and type(obj).__dataclass_params__.frozen))
 
 
 _FAULTS = st.one_of(
@@ -345,8 +384,9 @@ class TestCheckpointForks:
         base = ScenarioConfig(seed=31)
         first = run_full_session(_faulted(base, FaultInjection(11, "replay")))
         record = first.cloud_db[0]
-        record.c_e = record.c_p = None
-        record.sig_d = b"forged"
+        for name, value in (("c_e", None), ("c_p", None), ("sig_d", b"forged")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, value)
         first.transcript.append(first.transcript[0])
         first.cloud_session["id_h"] = b"someone-else"
         first.replay_rejections.append((0, None))
@@ -354,6 +394,41 @@ class TestCheckpointForks:
             cfg = _faulted(base, fault)
             assert (_artifacts(run_full_session(cfg), tmp_path)
                     == _artifacts(_fresh(cfg), tmp_path))
+
+    @pytest.mark.parametrize("delay_ms", [500, 2100])
+    def test_delay_at_every_target_matches_fresh_runs(self, delay_ms):
+        # a 500 ms delay is tolerated, so the session runs past every store;
+        # 2,100 ms outlasts the freshness window and aborts at its target
+        base = ScenarioConfig(seed=51)
+        for target in range(12):
+            cfg = _faulted(base, FaultInjection(target, "delay", delay_ms=delay_ms))
+            forked = run_full_session(cfg)
+            assert forked.completed == (delay_ms == 500)
+            assert _serialized(forked) == _serialized(_fresh(cfg)), target
+
+    def test_redelivered_store_keeps_later_fields(self):
+        session = sim._Session(ScenarioConfig(seed=7))
+        assert session.run().completed
+        cloud = session.cloud
+        (row,) = cloud.db
+        full = fields_to_json(cloud.db[row])
+        for index, store in ((5, cloud.pup_store), (8, cloud.tp_store),
+                             (11, cloud.cp_store)):
+            sent = session.transcript[index]
+            store(sent.payload, sent.sent_at + 1)
+            assert fields_to_json(cloud.db[row]) == full, index
+
+    def test_fork_shares_only_immutable_values(self):
+        session = sim._Session(ScenarioConfig(seed=61))
+        while True:
+            twin = session.fork()
+            base_objects, twin_objects = _reachable(session), _reachable(twin)
+            shared = [base_objects[i] for i in base_objects.keys() & twin_objects]
+            assert id(session.directory) in twin_objects
+            assert [o for o in shared if not _immutable(o)] == []
+            if session.finished:
+                break
+            session.step()
 
     def test_fault_free_run_leaves_the_memo_untouched(self):
         run_full_session(_faulted(ScenarioConfig(seed=41),
