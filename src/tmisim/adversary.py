@@ -252,13 +252,13 @@ def passive_eavesdrop_attempt(view: PassiveView, extra_material=()) -> AttackRep
                 candidates.append((f"{mname}[{index}].{fname}.tag", value.tag))
     for i, material in enumerate(extra_material):
         candidates.append((f"leaked[{i}]", material))
-    report.derived_keys = [(name, derive_key(value).hex())
-                           for name, value in candidates]
+    keys = [(name, derive_key(value)) for name, value in candidates]
+    report.derived_keys = [(name, key.hex()) for name, key in keys]
     for ct_name, ct in ciphertexts:
-        for key_name, material in candidates:
+        for key_name, key in keys:
             report.attempts += 1
             try:
-                plaintext = sym_decrypt(derive_key(material), ct)
+                plaintext = sym_decrypt(key, ct)
             except AuthFailure:
                 continue
             report.opened.append({"ciphertext": ct_name, "key": key_name,

@@ -11,7 +11,7 @@ separate length-prefixed binary layout, decoded against a fixed schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, NamedTuple, Optional
 
 from .errors import MalformedMessage, StaleTimestamp
@@ -155,10 +155,73 @@ def field_of_kind(cls, kind: str) -> Optional[str]:
     return next((name for name, k in cls.FIELDS if k == kind), None)
 
 
-class _Struct:
-    """Length-prefixed binary layout shared by all schema'd payloads."""
+_set = object.__setattr__
 
+
+class _Struct:
+    """A frozen value with a field schema and a length-prefixed binary
+    layout. :func:`_struct` builds each payload class from its `FIELDS`:
+    `(name, codec kind)` pairs in wire order, which are also the slots, the
+    constructor's parameters (positional or keyword, all required) and what
+    equality, hashing and the repr compare or show."""
+
+    __slots__ = ()
     FIELDS: ClassVar[tuple] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, in order, from positional and keyword
+        arguments; a TypeError names a surplus, missing or unknown one."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, "
+                            f"got {len(args)} positional arguments")
+        missing = [name for name in names[len(args):] if name not in kwargs]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing fields {missing}")
+        args += tuple(kwargs.pop(name) for name in names[len(args):])
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated "
+                            f"fields {sorted(kwargs)}")
+        return args
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__; their default
+        # would restore the slots with setattr, which a frozen value refuses
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.pop(name) if name in changes else getattr(self, name)
+                            for name in self.__slots__], **changes)
 
     def encode(self) -> bytes:
         out = bytearray()
@@ -185,189 +248,50 @@ class _Struct:
         return cls(*values)
 
 
+def _struct(name: str, fields: tuple) -> type:
+    return type(name, (_Struct,), {"__slots__": tuple(n for n, _ in fields),
+                                   "FIELDS": fields, "__module__": __name__})
+
+
 # ── encrypted tuple payloads (one per ciphertext E1..E8) ────────────────
 
-@dataclass(frozen=True)
-class E1Body(_Struct):
-    b: Scalar
-    s1: bytes
-    t_c2: int
-    FIELDS = (("b", "scalar"), ("s1", "digest"), ("t_c2", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E2Body(_Struct):
-    id_p: bytes
-    s2: bytes
-    c_h: Ciphertext
-    nid: bytes
-    sig_h: bytes
-    t_h3: int
-    FIELDS = (("id_p", "bytes"), ("s2", "digest"), ("c_h", "ciphertext"),
-              ("nid", "bytes"), ("sig_h", "signature"), ("t_h3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E3Body(_Struct):
-    sig_h: bytes
-    c_h: Ciphertext
-    s3: bytes
-    id_h: bytes
-    c: Scalar
-    t_c5: int
-    FIELDS = (("sig_h", "signature"), ("c_h", "ciphertext"), ("s3", "digest"),
-              ("id_h", "bytes"), ("c", "scalar"), ("t_c5", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E4Body(_Struct):
-    d: Scalar
-    s4: bytes
-    sig_p: bytes
-    c_p: Ciphertext
-    t_p3: int
-    FIELDS = (("d", "scalar"), ("s4", "digest"), ("sig_p", "signature"),
-              ("c_p", "ciphertext"), ("t_p3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E5Body(_Struct):
-    sig_p: bytes
-    sig_h: bytes
-    id_p: bytes
-    nid: bytes
-    c_p: Ciphertext
-    s: Scalar
-    s5: bytes
-    t_c8: int
-    FIELDS = (("sig_p", "signature"), ("sig_h", "signature"), ("id_p", "bytes"),
-              ("nid", "bytes"), ("c_p", "ciphertext"), ("s", "scalar"),
-              ("s5", "digest"), ("t_c8", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E6Body(_Struct):
-    sig_d: bytes
-    c_d: Ciphertext
-    s6: bytes
-    t_d3: int
-    FIELDS = (("sig_d", "signature"), ("c_d", "ciphertext"),
-              ("s6", "digest"), ("t_d3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E7Body(_Struct):
-    id_d: bytes
-    sig_d: bytes
-    c_d: Ciphertext
-    s7: bytes
-    y: Scalar
-    t_c11: int
-    FIELDS = (("id_d", "bytes"), ("sig_d", "signature"), ("c_d", "ciphertext"),
-              ("s7", "digest"), ("y", "scalar"), ("t_c11", "timestamp"))
-
-
-@dataclass(frozen=True)
-class E8Body(_Struct):
-    c_e: Ciphertext
-    s8: bytes
-    t_p6: int
-    FIELDS = (("c_e", "ciphertext"), ("s8", "digest"), ("t_p6", "timestamp"))
-
+E1Body = _struct("E1Body", (("b", "scalar"), ("s1", "digest"), ("t_c2", "timestamp")))
+E2Body = _struct("E2Body", (("id_p", "bytes"), ("s2", "digest"), ("c_h", "ciphertext"),
+                            ("nid", "bytes"), ("sig_h", "signature"),
+                            ("t_h3", "timestamp")))
+E3Body = _struct("E3Body", (("sig_h", "signature"), ("c_h", "ciphertext"),
+                            ("s3", "digest"), ("id_h", "bytes"), ("c", "scalar"),
+                            ("t_c5", "timestamp")))
+E4Body = _struct("E4Body", (("d", "scalar"), ("s4", "digest"), ("sig_p", "signature"),
+                            ("c_p", "ciphertext"), ("t_p3", "timestamp")))
+E5Body = _struct("E5Body", (("sig_p", "signature"), ("sig_h", "signature"),
+                            ("id_p", "bytes"), ("nid", "bytes"), ("c_p", "ciphertext"),
+                            ("s", "scalar"), ("s5", "digest"), ("t_c8", "timestamp")))
+E6Body = _struct("E6Body", (("sig_d", "signature"), ("c_d", "ciphertext"),
+                            ("s6", "digest"), ("t_d3", "timestamp")))
+E7Body = _struct("E7Body", (("id_d", "bytes"), ("sig_d", "signature"),
+                            ("c_d", "ciphertext"), ("s7", "digest"), ("y", "scalar"),
+                            ("t_c11", "timestamp")))
+E8Body = _struct("E8Body", (("c_e", "ciphertext"), ("s8", "digest"),
+                            ("t_p6", "timestamp")))
 
 # ── the twelve wire messages ────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class HupMsg1(_Struct):
-    id_h: bytes
-    a: Scalar
-    t_h1: int
-    FIELDS = (("id_h", "bytes"), ("a", "scalar"), ("t_h1", "timestamp"))
-
-
-@dataclass(frozen=True)
-class HupMsg2(_Struct):
-    e1: Ciphertext
-    t_c2: int
-    FIELDS = (("e1", "ciphertext"), ("t_c2", "timestamp"))
-
-
-@dataclass(frozen=True)
-class HupMsg3(_Struct):
-    e2: Ciphertext
-    t_h3: int
-    FIELDS = (("e2", "ciphertext"), ("t_h3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class PupMsg1(_Struct):
-    id_p: bytes
-    nid: bytes
-    t_p1: int
-    FIELDS = (("id_p", "bytes"), ("nid", "bytes"), ("t_p1", "timestamp"))
-
-
-@dataclass(frozen=True)
-class PupMsg2(_Struct):
-    e3: Ciphertext
-    i_mask: Scalar
-    t_c5: int
-    FIELDS = (("e3", "ciphertext"), ("i_mask", "scalar"), ("t_c5", "timestamp"))
-
-
-@dataclass(frozen=True)
-class PupMsg3(_Struct):
-    e4: Ciphertext
-    t_p3: int
-    FIELDS = (("e4", "ciphertext"), ("t_p3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class TpMsg1(_Struct):
-    id_d: bytes
-    r: Scalar
-    t_d1: int
-    FIELDS = (("id_d", "bytes"), ("r", "scalar"), ("t_d1", "timestamp"))
-
-
-@dataclass(frozen=True)
-class TpMsg2(_Struct):
-    e5: Ciphertext
-    j_mask: Scalar
-    t_c8: int
-    FIELDS = (("e5", "ciphertext"), ("j_mask", "scalar"), ("t_c8", "timestamp"))
-
-
-@dataclass(frozen=True)
-class TpMsg3(_Struct):
-    e6: Ciphertext
-    t_d3: int
-    FIELDS = (("e6", "ciphertext"), ("t_d3", "timestamp"))
-
-
-@dataclass(frozen=True)
-class CpMsg1(_Struct):
-    id_p: bytes
-    nid: bytes
-    x: Scalar
-    sn: Scalar
-    t_p4: int
-    FIELDS = (("id_p", "bytes"), ("nid", "bytes"), ("x", "scalar"),
-              ("sn", "scalar"), ("t_p4", "timestamp"))
-
-
-@dataclass(frozen=True)
-class CpMsg2(_Struct):
-    e7: Ciphertext
-    t_c11: int
-    FIELDS = (("e7", "ciphertext"), ("t_c11", "timestamp"))
-
-
-@dataclass(frozen=True)
-class CpMsg3(_Struct):
-    e8: Ciphertext
-    t_p6: int
-    FIELDS = (("e8", "ciphertext"), ("t_p6", "timestamp"))
+HupMsg1 = _struct("HupMsg1", (("id_h", "bytes"), ("a", "scalar"), ("t_h1", "timestamp")))
+HupMsg2 = _struct("HupMsg2", (("e1", "ciphertext"), ("t_c2", "timestamp")))
+HupMsg3 = _struct("HupMsg3", (("e2", "ciphertext"), ("t_h3", "timestamp")))
+PupMsg1 = _struct("PupMsg1", (("id_p", "bytes"), ("nid", "bytes"), ("t_p1", "timestamp")))
+PupMsg2 = _struct("PupMsg2", (("e3", "ciphertext"), ("i_mask", "scalar"),
+                              ("t_c5", "timestamp")))
+PupMsg3 = _struct("PupMsg3", (("e4", "ciphertext"), ("t_p3", "timestamp")))
+TpMsg1 = _struct("TpMsg1", (("id_d", "bytes"), ("r", "scalar"), ("t_d1", "timestamp")))
+TpMsg2 = _struct("TpMsg2", (("e5", "ciphertext"), ("j_mask", "scalar"),
+                            ("t_c8", "timestamp")))
+TpMsg3 = _struct("TpMsg3", (("e6", "ciphertext"), ("t_d3", "timestamp")))
+CpMsg1 = _struct("CpMsg1", (("id_p", "bytes"), ("nid", "bytes"), ("x", "scalar"),
+                            ("sn", "scalar"), ("t_p4", "timestamp")))
+CpMsg2 = _struct("CpMsg2", (("e7", "ciphertext"), ("t_c11", "timestamp")))
+CpMsg3 = _struct("CpMsg3", (("e8", "ciphertext"), ("t_p6", "timestamp")))
 
 
 class MessageSpec(NamedTuple):

@@ -46,6 +46,10 @@ from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
 
 DEFAULT_DELTA_T_MS = 2000
 DEFAULT_TICK_MS = 10
+# bound on tick_ms, delta_t_ms and each delay_ms: a hop or a replay then moves
+# the clock less than 2^33 ms and a delay fault less than 2^32 ms, so passing
+# the 8-byte wire timestamp's 2^64 ms would take billions of faults
+MAX_STEP_MS = 1 << 32
 
 SESSION_MESSAGES = len(PROTOCOL)
 
@@ -89,8 +93,9 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.delta_t_ms <= 0 or self.tick_ms <= 0:
-            raise ValueError("delta_t_ms and tick_ms must be positive")
+        for name in ("delta_t_ms", "tick_ms"):
+            if not 0 < getattr(self, name) < MAX_STEP_MS:
+                raise ValueError(f"{name} must be positive and below 2^32 ms")
         for name in ("id_p", "id_h", "id_d", "nid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
@@ -102,8 +107,8 @@ class ScenarioConfig:
                 raise ValueError(f"unknown fault action {fault.action!r}")
             if not 0 <= fault.target < SESSION_MESSAGES:
                 raise ValueError("fault target must be a message index 0..11")
-            if fault.delay_ms < 0:
-                raise ValueError("delay_ms must be non-negative")
+            if not 0 <= fault.delay_ms < MAX_STEP_MS:
+                raise ValueError("delay_ms must be non-negative and below 2^32 ms")
             message_cls = PROTOCOL[fault.target].cls
             if (fault.action == FAULT_TAMPER
                     and field_of_kind(message_cls, "ciphertext") is None):
@@ -146,7 +151,7 @@ def _tampered(payload, offset: int):
     name = field_of_kind(type(payload), "ciphertext")
     raw = bytearray(getattr(payload, name).encode())
     raw[offset % len(raw)] ^= 0x01
-    return dataclasses.replace(payload, **{name: Ciphertext.decode(bytes(raw))})
+    return payload.replace(**{name: Ciphertext.decode(bytes(raw))})
 
 
 class _Session:

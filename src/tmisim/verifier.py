@@ -154,6 +154,19 @@ def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
     def bundle(count):
         return lambda data: decode_report_bundle(data, count)
 
+    def signed(check_name, key_name, report, signature):
+        ok = verify(registry[key_name], report_digest(report), signature)
+        checks.add(check_name, ok, "" if ok else
+                   f"signature does not verify under {key_name}")
+
+    def same_reports(check_name, ct_name, reports):
+        """Each of `reports` is (name, the copy found in `ct_name`, the
+        reference copy or None if unknown, the ciphertext it came from)."""
+        differ = [f"{ct_name}'s {what} differs from {source}'s"
+                  for what, found, reference, source in reports
+                  if reference is not None and found != reference]
+        checks.add(check_name, not differ, "; ".join(differ))
+
     m1, m2 = take("HupMsg1"), take("HupMsg2")
     e1 = _need(opens("e1_opens", k1_digest(m1.id_h, m1.a, m1.t_h1), m2.e1,
                      E1Body.decode))
@@ -169,7 +182,7 @@ def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
     if m_h is not None:
         expect("inspection_subject", "m_H patient", e2.id_p, m_h.patient)
         if registry:
-            checks.add("sig_h", verify(registry["pk_h"], report_digest(m_h), e2.sig_h))
+            signed("sig_h", "pk_h", m_h, e2.sig_h)
 
     m4 = take("PupMsg1")
     checks.add("pup_identity", m4.id_p == e2.id_p and m4.nid == e2.nid,
@@ -202,9 +215,9 @@ def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
                                  nid=m4.nid, id_d=registry["id_d"], sn=sn)
         pair = opens("c_p_opens", k_pd, e4.c_p, bundle(2))
         if pair is not None:
-            checks.add("c_p_inspection_match", m_h is None or pair[0] == m_h)
+            same_reports("c_p_inspection_match", "C_P", (("m_H", pair[0], m_h, "C_H"),))
             m_b = pair[1]
-            checks.add("sig_p", verify(registry["pk_p"], report_digest(m_b), e4.sig_p))
+            signed("sig_p", "pk_p", m_b, e4.sig_p)
 
     m7 = take("TpMsg1")
     if registry:
@@ -226,10 +239,10 @@ def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
     if registry:
         triple = opens("c_d_opens", k_pd, e6.c_d, bundle(3))
         if triple is not None:
-            checks.add("c_d_bundle_match", (m_h is None or triple[0] == m_h)
-                       and (m_b is None or triple[1] == m_b))
+            same_reports("c_d_bundle_match", "C_D", (("m_H", triple[0], m_h, "C_H"),
+                                                     ("m_B", triple[1], m_b, "C_P")))
             m_d = triple[2]
-            checks.add("sig_d", verify(registry["pk_d"], report_digest(m_d), e6.sig_d))
+            signed("sig_d", "pk_d", m_d, e6.sig_d)
 
     m11 = take("CpMsg2")
     e7 = _need(opens("e7_opens", sk_pc, m11.e7, E7Body.decode))
@@ -245,4 +258,4 @@ def _derived_checks(checks: _Checks, payloads: dict, registry) -> None:
     if registry:
         triple = opens("c_e_opens", k_pd, e8.c_e, bundle(3))
         if triple is not None:
-            checks.add("c_e_bundle_match", m_d is None or triple[2] == m_d)
+            same_reports("c_e_bundle_match", "C_E", (("m_D", triple[2], m_d, "C_D"),))

@@ -142,7 +142,7 @@ class TestHupFailures:
         m2 = cloud.hup_challenge(hospital.hup_init(0), 10)
         raw = bytearray(m2.e1.encode())
         raw[20] ^= 0x01
-        bad = dataclasses.replace(m2, e1=Ciphertext.decode(bytes(raw)))
+        bad = m2.replace(e1=Ciphertext.decode(bytes(raw)))
         with pytest.raises(AuthFailure):
             hospital.hup_upload(bad, 20)
         assert hospital.sk_hc is None
@@ -153,7 +153,7 @@ class TestHupFailures:
         m3 = hospital.hup_upload(m2, 20)
         key = derive_key(hospital.sk_hc)
         body = E2Body.decode(sym_decrypt(key, m3.e2))
-        forged = dataclasses.replace(body, s2=bytes(32))
+        forged = body.replace(s2=bytes(32))
         e2 = sym_encrypt(key, forged.encode(), SeededRng(99, "forge"))
         with pytest.raises(DigestMismatch):
             cloud.hup_store(HupMsg3(e2, m3.t_h3), 30)
@@ -165,7 +165,7 @@ class TestHupFailures:
         m2 = cloud.hup_challenge(hospital.hup_init(0), 10)
         m3 = hospital.hup_upload(m2, 20)
         with pytest.raises(DigestMismatch):
-            cloud.hup_store(dataclasses.replace(m3, t_h3=m3.t_h3 + 1), 30)
+            cloud.hup_store(m3.replace(t_h3=m3.t_h3 + 1), 30)
 
 
 class TestPupFailures:
@@ -202,7 +202,7 @@ class TestPupFailures:
         m3 = patient.pup_upload(m2, t + 30)
         raw = bytearray(m3.e4.encode())
         raw[-1] ^= 0x01
-        bad = dataclasses.replace(m3, e4=Ciphertext.decode(bytes(raw)))
+        bad = m3.replace(e4=Ciphertext.decode(bytes(raw)))
         with pytest.raises(AuthFailure):
             cloud.pup_store(bad, t + 40)
         assert record.c_p is None and record.sig_p is None
@@ -241,8 +241,7 @@ class TestPhaseOrdering:
         _, t = run_pup(patient, cloud, t)
         _, t = run_tp(doctor, cloud, t)
         honest = patient.cp_request(t + 10)
-        wrong = dataclasses.replace(
-            honest, sn=Scalar((honest.sn.value + 1) % 2**255))
+        wrong = honest.replace(sn=Scalar((honest.sn.value + 1) % 2**255))
         with pytest.raises(SerialMismatch):
             cloud.cp_respond(wrong, t + 20)
 
@@ -255,7 +254,7 @@ class TestDoctorFailures:
         m2 = cloud.tp_respond(doctor.tp_request(t + 10), t + 20)
         raw = bytearray(m2.e5.encode())
         raw[100] ^= 0x01
-        bad = dataclasses.replace(m2, e5=Ciphertext.decode(bytes(raw)))
+        bad = m2.replace(e5=Ciphertext.decode(bytes(raw)))
         with pytest.raises(AuthFailure):
             doctor.tp_prescribe(bad, t + 30)
         assert doctor.sk_dc is None

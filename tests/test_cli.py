@@ -50,7 +50,11 @@ class TestSimulate:
                     {"seed": 3, "delta_t_ms": True},
                     {"seed": 2.9},
                     {"seed": "3"},
-                    {"faults": [{"target": 1, "action": "delay", "delay_ms": True}]}):
+                    {"faults": [{"target": 1, "action": "delay", "delay_ms": True}]},
+                    # a clock that could pass the 8-byte timestamp's 2^64 ms
+                    {"seed": 3, "tick_ms": 2**70, "delta_t_ms": 2**71},
+                    {"tick_ms": 2**62, "delta_t_ms": 2**62},
+                    {"faults": [{"target": 1, "action": "delay", "delay_ms": 2**32}]}):
             cfg.write_text(json.dumps(bad))
             for command in ("simulate", "campaign"):
                 assert main([command, "--config", str(cfg),

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +122,51 @@ class TestEncryptedBodies:
     def test_truncation_rejected(self, cls):
         with pytest.raises(MalformedMessage):
             cls.decode(_sample(cls).encode()[:-1])
+
+
+@pytest.mark.parametrize("cls", _BODIES + msgs.WIRE_MESSAGES, ids=lambda c: c.__name__)
+def test_struct_contract(cls):
+    """Each payload class is a frozen value built from its FIELDS alone, and
+    behaves as the frozen dataclass of the same fields would."""
+    names = tuple(name for name, _ in cls.FIELDS)
+    assert cls.__slots__ == names and not dataclasses.is_dataclass(cls)
+    value = _sample(cls)
+    values = tuple(getattr(value, name) for name in names)
+    keywords = dict(zip(names, values))
+    for name in (*names, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+
+    twin = cls(**keywords)
+    assert twin == value and hash(twin) == hash(value)
+    assert value != msgs._struct(cls.__name__, cls.FIELDS)(*values)
+    assert value != values
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value))):
+        assert copied == value
+
+    for bad_args, bad_kwargs in ((values[:-1], {}),
+                                 ((*values, values[0]), {}),
+                                 ((), dict(list(keywords.items())[1:])),
+                                 ((), {**keywords, "extra": 1}),
+                                 (values[:1], keywords)):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+    with pytest.raises(TypeError):
+        value.replace(extra=1)
+
+    new = object()
+    for name in names:
+        changed = value.replace(**{name: new})
+        moved = [n for n in names if getattr(changed, n) is not getattr(value, n)]
+        assert moved == [name]
+        assert getattr(changed, name) is new
+    assert value == twin
+
+    reference = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+    assert repr(value) == repr(reference(*values))
 
 
 class TestReports:

@@ -6,6 +6,7 @@ never a traceback.
 """
 
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -17,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmisim import sim
+from tmisim.actors import report_key_digest
 from tmisim.cli import main
-from tmisim.messages import Transcript
+from tmisim.messages import E8Body, MedicalReport, Transcript, encode_report_bundle
+from tmisim.primitives import SeededRng, derive_key, sym_decrypt, sym_encrypt
 from tmisim.verifier import verify_transcript
 
 
@@ -53,6 +56,42 @@ def test_every_rewritten_plain_field_fails_with_a_detail(outcome_a):
         assert all(r.detail for r in failed), (
             f"rewriting {where}: {[r.name for r in failed if not r.detail]} "
             "fail without a detail")
+
+
+def _failures(transcript, registry) -> dict:
+    return {r.name: r.detail for r in verify_transcript(transcript, registry)
+            if not r.ok}
+
+
+def test_swapped_registry_keys_fail_signatures_with_a_detail(outcome_a):
+    registry = sim.registry_from_dict(sim.registry_to_dict(outcome_a))
+    registry["pk_h"], registry["pk_p"] = registry["pk_p"], registry["pk_h"]
+    assert _failures(outcome_a.transcript, registry) == {
+        "sig_h": "signature does not verify under pk_h",
+        "sig_p": "signature does not verify under pk_p"}
+
+
+def test_rewrapped_treatment_report_fails_bundle_match_with_a_detail(outcome_a):
+    """C_E re-encrypted under the report key around another m_D still
+    opens, but its m_D is not the one C_D carries."""
+    cfg = outcome_a.config
+    k_pd = derive_key(report_key_digest(
+        cfg.variant, id_p=cfg.id_p, id_h=cfg.id_h, nid=cfg.nid, id_d=cfg.id_d,
+        sn=outcome_a.cloud_db[0].sn))
+    m_h, m_b, _ = outcome_a.recovered_reports
+    forged = MedicalReport("treatment", cfg.id_p, b"another diagnosis")
+    rng = SeededRng(0, "rewrap")
+    c_e = sym_encrypt(k_pd, encode_report_bundle((m_h, m_b, forged)), rng)
+    sk_pc = derive_key(outcome_a.session_keys["sk_pc"])
+    last = outcome_a.transcript[-1]
+    body = E8Body.decode(sym_decrypt(sk_pc, last.payload.e8))
+    e8 = sym_encrypt(sk_pc, body.replace(c_e=c_e).encode(), rng)
+    transcript = Transcript([*outcome_a.transcript][:-1] + [
+        dataclasses.replace(last, payload=last.payload.replace(e8=e8))])
+    registry = sim.registry_from_dict(sim.registry_to_dict(outcome_a))
+    failed = _failures(transcript, registry)
+    assert set(failed) == {"s8", "c_e_bundle_match"}
+    assert failed["c_e_bundle_match"] == "C_E's m_D differs from C_D's"
 
 
 # ── artifact fuzz ───────────────────────────────────────────────────────

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tmisim import sim
 from tmisim.messages import (CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript,
-                             fields_to_json)
+                             _Struct, fields_to_json)
 from tmisim.primitives import GroupPoint, Scalar
 from tmisim.sim import FaultInjection, ScenarioConfig, run_campaign, run_full_session
 
@@ -195,6 +195,12 @@ class TestConfig:
         {"faults": [{"target": "4", "action": "tamper"}]},
         {"faults": [{"target": 4, "action": "tamper", "offset": 1.5}]},
         {"faults": [{"action": "replay"}]},
+        # a clock that could pass the 8-byte timestamp's 2^64 ms
+        {"seed": 3, "tick_ms": 2**70, "delta_t_ms": 2**71},
+        {"tick_ms": 2**62, "delta_t_ms": 2**62},
+        {"tick_ms": 2**32},
+        {"delta_t_ms": 2**32},
+        {"faults": [{"target": 1, "action": "delay", "delay_ms": 2**32}]},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -286,7 +292,7 @@ def _reachable(root):
 def _immutable(obj) -> bool:
     if isinstance(obj, tuple):
         return all(_immutable(item) for item in obj)
-    return (isinstance(obj, (bytes, int, str, type(None), Scalar, GroupPoint))
+    return (isinstance(obj, (bytes, int, str, type(None), Scalar, GroupPoint, _Struct))
             or (dataclasses.is_dataclass(obj)
                 and type(obj).__dataclass_params__.frozen))
 
