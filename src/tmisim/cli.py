@@ -8,7 +8,8 @@ Subcommands:
     verify     re-check a transcript offline (digests, signatures, freshness)
 
 Exit codes: 0 success / expected verdict, 1 unexpected verdict or failed
-check, 2 usage error (bad flags, missing files), 3 malformed input.
+check, 2 usage error (bad flags, paths that cannot be read or written),
+3 malformed input.
 All outputs are deterministic functions of the inputs.
 """
 
@@ -31,9 +32,19 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 
 
-def _read_bytes(path: str):
+def _read_bytes(path: str | None):
+    """The file's bytes, or None when no path was given."""
+    if path is None:
+        return None
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _io_error(verb: str, exc: OSError) -> int:
+    """Report a path that cannot be read or written (missing, a directory
+    where a file is wanted, ...) as a usage error."""
+    print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _config_from_args(args) -> sim.ScenarioConfig:
@@ -58,16 +69,18 @@ def _config_from_args(args) -> sim.ScenarioConfig:
 
 
 def cmd_simulate(args) -> int:
-    if args.config is not None and not os.path.exists(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cfg = _config_from_args(args)
+    except OSError as exc:
+        return _io_error("read", exc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     outcome = sim.run_full_session(cfg)
-    sim.write_artifacts(outcome, args.out)
+    try:
+        sim.write_artifacts(outcome, args.out)
+    except OSError as exc:
+        return _io_error("write", exc)
     print(f"artifacts written to {args.out}")
     if outcome.completed:
         print(f"session completed: {len(outcome.transcript)} messages, "
@@ -80,45 +93,44 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.config is not None and not os.path.exists(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cfg = _config_from_args(args)
         if args.seeds < 1:
             raise ValueError("--seeds must be at least 1")
+    except OSError as exc:
+        return _io_error("read", exc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     stats = sim.run_campaign(cfg, args.seeds)
     summary = stats.to_dict()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "campaign.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(summary, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            return _io_error("write", exc)
         print(f"summary written to {path}")
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
-def _load_transcript(path: str) -> Transcript:
-    return Transcript.from_jsonl(_read_bytes(path))
-
-
 def cmd_attack(args) -> int:
-    for path in (args.transcript, args.db):
-        if path is not None and not os.path.exists(path):
-            print(f"error: file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
     if args.mode == "insider" and args.db is None:
         print("error: insider mode requires --db", file=sys.stderr)
         return EXIT_USAGE
     try:
-        transcript = _load_transcript(args.transcript)
+        raw_transcript = _read_bytes(args.transcript)
+        raw_db = _read_bytes(args.db)
+    except OSError as exc:
+        return _io_error("read", exc)
+    try:
+        transcript = Transcript.from_jsonl(raw_transcript)
         if args.mode == "insider":
-            records, session = sim.cloud_db_from_jsonl(_read_bytes(args.db))
+            records, session = sim.cloud_db_from_jsonl(raw_db)
             view = InsiderView(cloud_db=records,
                                public_messages=transcript.public_messages(),
                                cloud_session=session)
@@ -133,9 +145,12 @@ def cmd_attack(args) -> int:
         return EXIT_MALFORMED
     sys.stdout.write(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            return _io_error("write", exc)
     return EXIT_OK if ok else EXIT_UNEXPECTED
 
 
@@ -143,19 +158,21 @@ def cmd_verify(args) -> int:
     if args.delta_t_ms is not None and args.delta_t_ms <= 0:
         print("error: --delta-t-ms must be positive", file=sys.stderr)
         return EXIT_MALFORMED
-    if not os.path.exists(args.transcript):
-        print(f"error: file not found: {args.transcript}", file=sys.stderr)
-        return EXIT_USAGE
     registry_path = args.registry
     if registry_path is None:
         sibling = os.path.join(os.path.dirname(args.transcript) or ".",
                                sim.REGISTRY_FILE)
         registry_path = sibling if os.path.exists(sibling) else None
     try:
-        transcript = _load_transcript(args.transcript)
+        raw_transcript = _read_bytes(args.transcript)
+        raw_registry = _read_bytes(registry_path)
+    except OSError as exc:
+        return _io_error("read", exc)
+    try:
+        transcript = Transcript.from_jsonl(raw_transcript)
         registry = None
-        if registry_path is not None:
-            registry = sim.registry_from_dict(json.loads(_read_bytes(registry_path)))
+        if raw_registry is not None:
+            registry = sim.registry_from_dict(json.loads(raw_registry))
     except (MalformedMessage, ValueError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -6,7 +6,8 @@ SHA-256 over length-prefixed fields under a domain tag, so distinct
 field lists can never collide by concatenation ambiguity. Symmetric
 encryption is encrypt-then-MAC (SHA-256 counter keystream, HMAC-SHA256
 tag): tampering any byte is detected, which the actors rely on to
-terminate sessions. Signatures are ECDSA with deterministic (RFC 6979)
+terminate sessions; decryption checks the tag before it derives the
+cipher key. Signatures are ECDSA with deterministic (RFC 6979)
 nonces so that identically seeded runs produce identical transcripts.
 
 Everything here is deterministic given its inputs plus an explicitly
@@ -79,6 +80,13 @@ class SeededRng:
         child._key = hashlib.sha256(b"tmisim.fork\x00" + self._key + label).digest()
         child._counter = 0
         return child
+
+    def copy(self) -> "SeededRng":
+        """A twin at the same point of the same stream; the two draw independently."""
+        twin = object.__new__(SeededRng)
+        twin._key = self._key
+        twin._counter = self._counter
+        return twin
 
 
 # ── scalars and curve points ────────────────────────────────────────────
@@ -277,27 +285,27 @@ def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-def _subkeys(key: bytes):
-    return (
-        hmac.new(key, b"enc", hashlib.sha256).digest(),
-        hmac.new(key, b"mac", hashlib.sha256).digest(),
-    )
+def _subkey(key: bytes, label: bytes) -> bytes:
+    return hmac.new(key, label, hashlib.sha256).digest()
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def sym_encrypt(key: bytes, plaintext: bytes, rng: SeededRng) -> Ciphertext:
-    enc_key, mac_key = _subkeys(key)
     nonce = rng.take(NONCE_BYTES)
-    body = bytes(a ^ b for a, b in zip(plaintext, _keystream(enc_key, nonce, len(plaintext))))
-    tag = hmac.new(mac_key, nonce + body, hashlib.sha256).digest()
+    body = _xor(plaintext, _keystream(_subkey(key, b"enc"), nonce, len(plaintext)))
+    tag = hmac.new(_subkey(key, b"mac"), nonce + body, hashlib.sha256).digest()
     return Ciphertext(nonce=nonce, body=body, tag=tag)
 
 
 def sym_decrypt(key: bytes, ct: Ciphertext) -> bytes:
-    enc_key, mac_key = _subkeys(key)
-    expected = hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+    # authenticate first: a rejected ciphertext never pays for the cipher key
+    expected = hmac.new(_subkey(key, b"mac"), ct.nonce + ct.body, hashlib.sha256).digest()
     if not hmac.compare_digest(expected, ct.tag):
         raise AuthFailure("ciphertext failed authentication")
-    return bytes(a ^ b for a, b in zip(ct.body, _keystream(enc_key, ct.nonce, len(ct.body))))
+    return _xor(ct.body, _keystream(_subkey(key, b"enc"), ct.nonce, len(ct.body)))
 
 
 # ── signatures (ECDSA, deterministic nonces per RFC 6979) ───────────────

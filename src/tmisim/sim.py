@@ -18,7 +18,6 @@ Artifact layout written by :func:`write_artifacts`:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import json
@@ -154,6 +153,12 @@ def _tampered(payload, offset: int):
     return payload.replace(**{name: Ciphertext.decode(bytes(raw))})
 
 
+def _shallow_copy(obj):
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
 class _Session:
     """One session, advanced one transmission at a time by :meth:`step`."""
 
@@ -195,10 +200,10 @@ class _Session:
         streams, the cloud's db, the transcript and the replay results. The
         rest (messages, points, scalars, keys, rows, config, directory) is
         immutable, so the copy shares it."""
-        twin = copy.copy(self)
+        twin = _shallow_copy(self)
         for name in _ACTOR.values():
-            actor = copy.copy(getattr(self, name))
-            actor._rng = copy.copy(actor._rng)
+            actor = _shallow_copy(getattr(self, name))
+            actor._rng = actor._rng.copy()
             setattr(twin, name, actor)
         twin.cloud.db = dict(self.cloud.db)
         twin.transcript = Transcript(self.transcript)

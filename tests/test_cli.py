@@ -282,3 +282,26 @@ class TestVerify:
 
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "attack --transcript {dir} --mode passive",
+    "attack --transcript {transcript} --db {dir}",
+    "attack --transcript {transcript} --mode passive --out {dir}",
+    "verify --transcript {dir}",
+    "verify --transcript {transcript} --registry {dir}",
+    "simulate --config {dir}",
+    "campaign --seeds 1 --config {dir}",
+    "simulate --out {file}",
+    "campaign --seeds 1 --out {file}",
+])
+def test_wrong_kind_of_path_is_usage_error(argv, artifacts, tmp_path, capsys):
+    """A directory where a file is read or written, or a file where a
+    directory is created, is a usage error, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(argv.format(dir=tmp_path, file=taken,
+                            transcript=artifacts / sim.TRANSCRIPT_FILE).split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,7 +1,8 @@
 import hashlib
+import hmac
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tmisim import primitives as pr
@@ -74,6 +75,32 @@ class TestDeriveKey:
 
 # ── symmetric cipher ────────────────────────────────────────────────────
 
+# Reference AEAD: the earlier implementation, which derived both subkeys
+# before checking the tag and XORed byte by byte. The current one must
+# produce and accept exactly the same bytes.
+def _ref_subkeys(key):
+    return (hmac.new(key, b"enc", hashlib.sha256).digest(),
+            hmac.new(key, b"mac", hashlib.sha256).digest())
+
+
+def _ref_sym_encrypt(key, plaintext, rng):
+    enc_key, mac_key = _ref_subkeys(key)
+    nonce = rng.take(pr.NONCE_BYTES)
+    body = bytes(a ^ b for a, b in
+                 zip(plaintext, pr._keystream(enc_key, nonce, len(plaintext))))
+    tag = hmac.new(mac_key, nonce + body, hashlib.sha256).digest()
+    return pr.Ciphertext(nonce=nonce, body=body, tag=tag)
+
+
+def _ref_sym_decrypt(key, ct):
+    enc_key, mac_key = _ref_subkeys(key)
+    expected = hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+    if not hmac.compare_digest(expected, ct.tag):
+        raise AuthFailure("ciphertext failed authentication")
+    return bytes(a ^ b for a, b in
+                 zip(ct.body, pr._keystream(enc_key, ct.nonce, len(ct.body))))
+
+
 class TestSymCipher:
     def test_roundtrip(self):
         key = pr.derive_key(hashlib.sha256(b"k").digest())
@@ -102,6 +129,40 @@ class TestSymCipher:
     def test_roundtrip_property(self, plaintext):
         key = pr.derive_key(hashlib.sha256(b"prop").digest())
         assert pr.sym_decrypt(key, pr.sym_encrypt(key, plaintext, _rng())) == plaintext
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.binary(min_size=1, max_size=64),
+           wrong=st.binary(min_size=1, max_size=64),
+           plaintext=st.binary(max_size=700),
+           flip=st.integers(min_value=0))
+    @example(key=b"k", wrong=b"w", plaintext=b"", flip=0)
+    def test_matches_reference(self, key, wrong, plaintext, flip):
+        assume(wrong != key)
+        ct = pr.sym_encrypt(key, plaintext, _rng(label="ref"))
+        assert ct == _ref_sym_encrypt(key, plaintext, _rng(label="ref"))
+        assert pr.sym_decrypt(key, ct) == _ref_sym_decrypt(key, ct) == plaintext
+        raw = bytearray(ct.encode())
+        raw[flip % len(raw)] ^= 0x01
+        tampered = pr.Ciphertext.decode(bytes(raw))
+        for decrypt in (pr.sym_decrypt, _ref_sym_decrypt):
+            with pytest.raises(AuthFailure):
+                decrypt(wrong, ct)
+            with pytest.raises(AuthFailure):
+                decrypt(key, tampered)
+
+    def test_fixed_vector(self):
+        # wire bytes (nonce || tag || body) recorded from the reference;
+        # a change here means seeded transcripts are no longer reproducible
+        key = pr.derive_key(hashlib.sha256(b"kat").digest())
+        plaintext = b"attack at dawn, bring the reports"
+        ct = pr.sym_encrypt(key, plaintext, pr.SeededRng(7, "kat"))
+        assert ct.encode().hex() == (
+            "f15f20d701dce294133dd9b1605366c3"
+            "30ad69068dee2fba42f6f619c2688a8247023ff5eb57b9451cbdb9daa6fcab40"
+            "db859580c6aa396633ad240706c2a714b90b50b1a883406e405863ee878c7991"
+            "26")
+        assert ct == _ref_sym_encrypt(key, plaintext, pr.SeededRng(7, "kat"))
+        assert pr.sym_decrypt(key, ct) == plaintext
 
     def test_ciphertext_encoding_roundtrip(self):
         key = pr.derive_key(hashlib.sha256(b"k").digest())
@@ -238,6 +299,16 @@ class TestSeededRng:
         r1 = _rng(5).fork("child")
         r2 = _rng(5).fork("child")
         assert r1.take(48) == r2.take(48)
+
+    def test_copy_continues_the_stream_independently(self):
+        rng = _rng(label="copy")
+        rng.take(40)
+        twin = rng.copy()
+        assert twin is not rng
+        first = rng.take(50)
+        assert twin.take(50) == first  # rng's draws left the twin where it was
+        second = twin.take(30)
+        assert rng.take(30) == second  # and the twin's left rng
 
     def test_scalars_in_range(self):
         rng = _rng(label="range")

@@ -436,6 +436,19 @@ class TestCheckpointForks:
                 break
             session.step()
 
+    def test_fork_copies_every_attribute(self):
+        session = sim._Session(ScenarioConfig(seed=62))
+        while True:
+            twin = session.fork()
+            for name in (None, *sim._ACTOR.values()):
+                original = session if name is None else getattr(session, name)
+                copied = twin if name is None else getattr(twin, name)
+                assert copied is not original and type(copied) is type(original)
+                assert sorted(vars(copied)) == sorted(vars(original)), name
+            if session.finished:
+                break
+            session.step()
+
     def test_fault_free_run_leaves_the_memo_untouched(self):
         run_full_session(_faulted(ScenarioConfig(seed=41),
                                   FaultInjection(2, "tamper")))
