@@ -16,6 +16,7 @@ All outputs are deterministic functions of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,7 +187,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_UNEXPECTED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process, on first use: parse_args leaves the parser
+    # unchanged and puts each call's values in a fresh namespace
     parser = argparse.ArgumentParser(
         prog="tmisim",
         description="Deterministic simulator and insider-attack harness for a "

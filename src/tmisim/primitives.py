@@ -254,6 +254,24 @@ def derive_key(source) -> bytes:
     return hash_fields(b"kdf", [kind, data])
 
 
+_HMAC_BLOCK = 64  # SHA-256 block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def _hmac(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104) as two SHA-256 calls.
+
+    Gives the :mod:`hmac` module's digest without its per-call set-up,
+    which costs more than hashing the short inputs used here.
+    """
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\x00")
+    inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+
+
 # ── authenticated symmetric encryption ──────────────────────────────────
 
 @dataclass(frozen=True)
@@ -286,7 +304,7 @@ def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
 
 
 def _subkey(key: bytes, label: bytes) -> bytes:
-    return hmac.new(key, label, hashlib.sha256).digest()
+    return _hmac(key, label)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -296,13 +314,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
 def sym_encrypt(key: bytes, plaintext: bytes, rng: SeededRng) -> Ciphertext:
     nonce = rng.take(NONCE_BYTES)
     body = _xor(plaintext, _keystream(_subkey(key, b"enc"), nonce, len(plaintext)))
-    tag = hmac.new(_subkey(key, b"mac"), nonce + body, hashlib.sha256).digest()
+    tag = _hmac(_subkey(key, b"mac"), nonce + body)
     return Ciphertext(nonce=nonce, body=body, tag=tag)
 
 
 def sym_decrypt(key: bytes, ct: Ciphertext) -> bytes:
     # authenticate first: a rejected ciphertext never pays for the cipher key
-    expected = hmac.new(_subkey(key, b"mac"), ct.nonce + ct.body, hashlib.sha256).digest()
+    expected = _hmac(_subkey(key, b"mac"), ct.nonce + ct.body)
     if not hmac.compare_digest(expected, ct.tag):
         raise AuthFailure("ciphertext failed authentication")
     return _xor(ct.body, _keystream(_subkey(key, b"enc"), ct.nonce, len(ct.body)))
@@ -317,15 +335,15 @@ def _nonce_candidates(private: int, digest: bytes):
     seed = private.to_bytes(32, "big") + h1_int.to_bytes(32, "big")
     v = b"\x01" * 32
     k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + seed, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + seed, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
+    k = _hmac(k, v + b"\x00" + seed)
+    v = _hmac(k, v)
+    k = _hmac(k, v + b"\x01" + seed)
+    v = _hmac(k, v)
     while True:
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        v = _hmac(k, v)
         yield int.from_bytes(v, "big")
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        k = _hmac(k, v + b"\x00")
+        v = _hmac(k, v)
 
 
 def sign(private: Scalar, digest: bytes) -> bytes:

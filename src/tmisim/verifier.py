@@ -104,11 +104,12 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
 
     messages = list(transcript)
     payloads = {}  # the first payload of each message type
-    sequence_ok = len(messages) <= len(WIRE_MESSAGES)
+    count, expected = len(messages), len(WIRE_MESSAGES)
+    sequence_ok = count == expected
     for i, cm in enumerate(messages):
         spec = MESSAGE_SPEC[type(cm.payload)]
         name = spec.cls.__name__
-        if i < len(WIRE_MESSAGES) and spec.cls is not WIRE_MESSAGES[i]:
+        if i < expected and spec.cls is not WIRE_MESSAGES[i]:
             sequence_ok = False
         payloads.setdefault(name, cm.payload)
         checks.add(f"channel_label[{i}]",
@@ -119,6 +120,7 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
         checks.add(f"timestamp_consistency[{i}]", ts == cm.sent_at,
                    f"{name} stamped {ts} but sent at {cm.sent_at}")
     checks.add("sequence", sequence_ok,
+               f"{count} of {expected} messages" if count < expected else
                "message types follow the four-phase order exactly once")
     for i in range(1, len(messages)):
         gap = messages[i].sent_at - messages[i - 1].sent_at

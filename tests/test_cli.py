@@ -4,7 +4,7 @@ import pytest
 
 from tmisim import sim
 from tmisim.backend import B, P
-from tmisim.cli import main
+from tmisim.cli import _build_parser, main
 
 
 def _simulate(tmp_path, *extra):
@@ -278,6 +278,36 @@ class TestVerify:
         code = main(["verify", "--transcript", str(out / sim.TRANSCRIPT_FILE)])
         assert code == 1
         assert "sequence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kept", range(12))
+    def test_cut_off_transcript_fails_sequence(self, artifacts, tmp_path, capsys,
+                                               kept):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines(True)
+        assert len(lines) == 12
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(b"".join(lines[:kept]))
+        code = main(["verify", "--transcript", str(cut),
+                     "--registry", str(artifacts / sim.REGISTRY_FILE)])
+        assert code == 1
+        assert f"FAILED: sequence ({kept} of 12 messages)" in capsys.readouterr().out
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path):
+        assert main(["simulate", "--seed", "5", "--variant", "B",
+                     "--out", str(tmp_path / "first")]) == 0
+        assert main(["simulate", "--out", str(tmp_path / "second")]) == 0
+        outcome = json.loads((tmp_path / "second" / sim.OUTCOME_FILE).read_text())
+        assert (outcome["seed"], outcome["variant"]) == (1, "A")
+
+    def test_usage_error_leaves_the_parser_usable(self, artifacts):
+        assert main(["attack", "--mode", "bogus"]) == 2
+        assert main(["attack",
+                     "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--mode", "passive"]) == 0
 
 
 def test_no_arguments_is_usage_error():

@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -99,6 +100,20 @@ def _ref_sym_decrypt(key, ct):
         raise AuthFailure("ciphertext failed authentication")
     return bytes(a ^ b for a, b in
                  zip(ct.body, pr._keystream(enc_key, ct.nonce, len(ct.body))))
+
+
+class TestHmac:
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.binary(max_size=200), msg=st.binary(max_size=300))
+    @example(key=b"k" * 64, msg=b"")
+    @example(key=b"k" * 65, msg=b"m")
+    def test_matches_hmac_module(self, key, msg):
+        assert pr._hmac(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()
+
+    def test_package_never_calls_hmac_new(self):
+        package = Path(pr.__file__).parent
+        assert [p.name for p in package.glob("*.py")
+                if "hmac.new" in p.read_text(encoding="utf-8")] == []
 
 
 class TestSymCipher:
