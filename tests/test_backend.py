@@ -13,16 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmisim import _p256_py as pure
-from tmisim import backend
+from tmisim import backend, sim
 
 P, N, B, GX, GY = pure.P, pure.N, pure.B, pure.GX, pure.GY
-
-try:
-    from tmisim import _speedups as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [pure] + ([compiled] if compiled is not None else [])
 
 # Scalars whose signed 6-bit window recoding carries: N - 1 and 2**256 - 1
 # (which reduces below N), runs of all-ones windows that carry up through
@@ -74,7 +67,13 @@ GOLDEN_BASE = {
 }
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.fixture(scope="session", params=["pure", "compiled"])
+def impl(request):
+    if request.param == "pure":
+        return pure
+    return request.getfixturevalue("compiled_kernel")
+
+
 class TestBackend:
     def test_golden_base_multiples(self, impl):
         for k, expected in GOLDEN_BASE.items():
@@ -147,9 +146,40 @@ class TestBackend:
         assert not impl.is_on_curve(q[0], (q[1] + 1) % P)
         assert not impl.is_on_curve(P, 0)
 
+    def test_edge_inputs_match_oracle(self, impl):
+        # Scalars reduce mod N and coordinates mod P as Python's % does;
+        # anything but an int scalar is a TypeError.
+        rng = random.Random(8)
+        k = rng.randrange(1, N)
+        q = _affine_mul(rng.randrange(1, N), (GX, GY))
+        for s in (-1, -k, k - 2**300, 2**256, 2**256 + k, 2**300 + k,
+                  2 * N, 5 * N, 3 * N + k):
+            assert impl.base_mult(s) == _affine_mul(s % N, (GX, GY)), s
+            assert impl.scalar_mult(s, q[0], q[1]) == _affine_mul(s % N, q), s
+        u, v = -k, 2**256 + k
+        expected = _affine_add(_affine_mul(u % N, (GX, GY)),
+                               _affine_mul(v % N, q))
+        assert impl.double_base_mult(u, v, q[0], q[1]) == expected
+        big = (q[0] + P, q[1] + 2 * P)
+        assert impl.scalar_mult(k, *big) == _affine_mul(k, q)
+        assert impl.double_base_mult(u, v, *big) == expected
+        assert impl.double_base_mult(0, k, *big) == _affine_mul(k, q)
+        for x, y in ((-1, GY), (GX, -GY), (P, 0), (GX + P, GY), (GX, GY + P),
+                     (2**256 + GX, GY)):
+            assert impl.is_on_curve(x, y) is False, (x, y)
+        for bad in (1.5, "5", None):
+            with pytest.raises(TypeError):
+                impl.base_mult(bad)
+            with pytest.raises(TypeError):
+                impl.scalar_mult(bad, q[0], q[1])
+            with pytest.raises(TypeError):
+                impl.double_base_mult(bad, k, q[0], q[1])
+            with pytest.raises(TypeError):
+                impl.double_base_mult(k, bad, q[0], q[1])
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backend_parity():
+
+def test_backend_parity(compiled_kernel):
+    compiled = compiled_kernel
     rng = random.Random(4)
     for _ in range(50):
         k = rng.randrange(1, N)
@@ -204,16 +234,30 @@ def test_backend_switch_restores():
         backend.use(original)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_transcripts_identical_across_backends():
-    from tmisim.sim import ScenarioConfig, run_full_session
-
-    original = backend.active_name()
+def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
+                                              tmp_path):
+    """Both kernels write byte-identical artifacts for variants A and B and
+    for a session with a tamper and a stale replay."""
+    configs = [sim.ScenarioConfig(seed=31),
+               sim.ScenarioConfig(seed=32, variant="B"),
+               sim.ScenarioConfig(seed=33, faults=(
+                   sim.FaultInjection(target=4, action="tamper", offset=3),
+                   sim.FaultInjection(target=2, action="replay")))]
+    monkeypatch.setattr(backend, "_speedups", compiled_kernel)
+    monkeypatch.setattr(backend, "_active", backend._active)
     try:
-        backend.use("pure")
-        t_pure = run_full_session(ScenarioConfig(seed=31)).transcript.to_jsonl()
-        backend.use("compiled")
-        t_fast = run_full_session(ScenarioConfig(seed=31)).transcript.to_jsonl()
+        for name in ("pure", "compiled"):
+            backend.use(name)
+            # the memoised fault-free base must not cross backends
+            sim._checkpoints.cache_clear()
+            for i, cfg in enumerate(configs):
+                sim.write_artifacts(sim.run_full_session(cfg),
+                                    tmp_path / name / str(i))
     finally:
-        backend.use(original)
-    assert t_pure == t_fast
+        sim._checkpoints.cache_clear()
+    for i, cfg in enumerate(configs):
+        for artifact in (sim.TRANSCRIPT_FILE, sim.CLOUD_DB_FILE,
+                         sim.OUTCOME_FILE):
+            pure_bytes = (tmp_path / "pure" / str(i) / artifact).read_bytes()
+            fast_bytes = (tmp_path / "compiled" / str(i) / artifact).read_bytes()
+            assert pure_bytes == fast_bytes, (cfg, artifact)
