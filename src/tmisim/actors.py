@@ -410,6 +410,11 @@ class Doctor:
         return TpMsg3(e6, now)
 
 
+# context entries kept for the phase's own later step, not exported:
+# the row's db key, and the CP shared point that cp_store reuses
+_UNEXPORTED = ("row", "xyg")
+
+
 def _context(**values) -> tuple:
     # a phase's saved values as (name, value) pairs: immutable, like the rows
     return tuple(values.items())
@@ -550,7 +555,8 @@ class Cloud:
         e7 = sym_encrypt(derive_key(self.sk_cp),
                          E7Body(id_d, record.sig_d, record.c_d, s7, y, now).encode(),
                          self._rng)
-        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now)
+        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now,
+                            xyg=xyg)
         return CpMsg2(e7, now)
 
     def cp_store(self, msg: CpMsg3, now: int) -> CloudRecord:
@@ -560,9 +566,8 @@ class Cloud:
             raise RecordIncomplete("no outstanding checkup response")
         record = self.db[ctx["row"]]
         body = E8Body.decode(sym_decrypt(derive_key(self.sk_cp), msg.e8))
-        xyg = dh_point(ctx["x"], ctx["y"])
         s8 = s8_digest(self.sk_cp, ctx["s7"], body.c_e, record.sig_p, record.sig_d,
-                       xyg, msg.t_p6)
+                       ctx["xyg"], msg.t_p6)
         if s8 != body.s8:
             raise DigestMismatch("checkup digest S8 mismatch")
         record = self.db[ctx["row"]] = replace(record, c_e=body.c_e)
@@ -586,7 +591,7 @@ class Cloud:
         for phase, ctx in (("hup", self._hup), ("pup", self._pup),
                            ("tp", self._tp), ("cp", self._cp)):
             for key, value in ctx:
-                if key == "row":
+                if key in _UNEXPORTED:
                     continue
                 out[f"{phase}.{key}"] = value
         return out

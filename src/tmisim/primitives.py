@@ -18,6 +18,7 @@ simulator, not a TLS stack.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -368,15 +369,25 @@ def verify(public: GroupPoint, digest: bytes, sig: bytes) -> bool:
     """True iff sig is a valid signature on digest under public."""
     if len(sig) != SIGNATURE_BYTES or len(digest) != DIGEST_BYTES:
         return False
+    return _verified(public.x, public.y, bytes(digest), bytes(sig))
+
+
+# A session checks each of its three signatures more than once (the
+# receiving actors, then offline verification), always on the same public
+# inputs, so the verdict is memoised on exactly those inputs. Nothing
+# secret enters the memo. sim.run_full_session empties it when a session
+# starts, so it only has to hold one session's signatures.
+@functools.lru_cache(maxsize=8)
+def _verified(x: int, y: int, digest: bytes, sig: bytes) -> bool:
     r = int.from_bytes(sig[:32], "big")
     s = int.from_bytes(sig[32:], "big")
     if not (0 < r < ORDER and 0 < s < ORDER):
         return False
-    if not backend.is_on_curve(public.x, public.y):
+    if not backend.is_on_curve(x, y):
         return False
     e = int.from_bytes(digest, "big") % ORDER
     w = pow(s, -1, ORDER)
-    point = backend.double_base_mult(e * w % ORDER, r * w % ORDER, public.x, public.y)
+    point = backend.double_base_mult(e * w % ORDER, r * w % ORDER, x, y)
     return point is not None and point[0] % ORDER == r
 
 

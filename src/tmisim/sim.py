@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import primitives
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
 from .errors import InvalidPoint, MalformedMessage, ProtocolError
 from .messages import (
@@ -327,8 +328,12 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     fault-free session, so a faulted run continues from a copy of that
     session (shared across calls with the same base) taken just before
     the fault, and only the rest of the session runs.
+
+    The signature-verdict memo is emptied first: it serves this session
+    and the offline verification of its transcript, never another session.
     """
     cfg.validate()
+    primitives._verified.cache_clear()
     if not cfg.faults:
         return _Session(cfg).run()
     base = _checkpoints(dataclasses.replace(cfg, faults=()))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmisim import _p256_py as pure
-from tmisim import backend, sim
+from tmisim import backend, primitives, sim
 
 P, N, B, GX, GY = pure.P, pure.N, pure.B, pure.GX, pure.GY
 
@@ -243,18 +243,30 @@ def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
                sim.ScenarioConfig(seed=33, faults=(
                    sim.FaultInjection(target=4, action="tamper", offset=3),
                    sim.FaultInjection(target=2, action="replay")))]
+    compiled_calls = []
+    kernel_double_base_mult = compiled_kernel.double_base_mult
+
+    def counted(*args):
+        compiled_calls.append(args)
+        return kernel_double_base_mult(*args)
+
+    monkeypatch.setattr(compiled_kernel, "double_base_mult", counted)
     monkeypatch.setattr(backend, "_speedups", compiled_kernel)
     monkeypatch.setattr(backend, "_active", backend._active)
     try:
         for name in ("pure", "compiled"):
             backend.use(name)
-            # the memoised fault-free base must not cross backends
+            # neither the memoised fault-free base nor a memoised signature
+            # verdict may cross backends
             sim._checkpoints.cache_clear()
+            primitives._verified.cache_clear()
             for i, cfg in enumerate(configs):
                 sim.write_artifacts(sim.run_full_session(cfg),
                                     tmp_path / name / str(i))
     finally:
         sim._checkpoints.cache_clear()
+        primitives._verified.cache_clear()
+    assert compiled_calls, "the compiled pass never verified a signature"
     for i, cfg in enumerate(configs):
         for artifact in (sim.TRANSCRIPT_FILE, sim.CLOUD_DB_FILE,
                          sim.OUTCOME_FILE):

@@ -271,6 +271,88 @@ class TestSignatures:
             "019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083")
 
 
+def _reference_verify(public, digest, sig):
+    """ECDSA verification with no memo, written out independently."""
+    if len(sig) != 64 or len(digest) != 32:
+        return False
+    n = pr.backend.N
+    r, s = int.from_bytes(sig[:32], "big"), int.from_bytes(sig[32:], "big")
+    if not (0 < r < n and 0 < s < n):
+        return False
+    if not pr.backend.is_on_curve(public.x, public.y):
+        return False
+    w = pow(s, -1, n)
+    point = pr.backend.double_base_mult(int.from_bytes(digest, "big") * w % n,
+                                        r * w % n, public.x, public.y)
+    return point is not None and point[0] % n == r
+
+
+_SIGNERS = [pr.KeyPair.generate(_rng(label=f"memo{i}")) for i in range(2)]
+_N_BYTES = pr.ORDER.to_bytes(32, "big")
+
+
+def _with_scalar(sig, half, value):
+    return sig[:32] + value if half else value + sig[32:]
+
+
+# each takes (sig, digest, public, data) and returns a mutated triple
+_MUTATIONS = {
+    "flip_sig_byte": lambda sig, d, k, data: (
+        sig[:data[0] % 64] + bytes([sig[data[0] % 64] ^ (data[1] | 1)])
+        + sig[data[0] % 64 + 1:], d, k),
+    "other_digest": lambda sig, d, k, data: (sig, hashlib.sha256(d + data).digest(), k),
+    "other_key": lambda sig, d, k, data: (
+        sig, d, _SIGNERS[1].public if k == _SIGNERS[0].public else _SIGNERS[0].public),
+    "r_zero": lambda sig, d, k, data: (_with_scalar(sig, 0, bytes(32)), d, k),
+    "s_zero": lambda sig, d, k, data: (_with_scalar(sig, 1, bytes(32)), d, k),
+    "r_is_n": lambda sig, d, k, data: (_with_scalar(sig, 0, _N_BYTES), d, k),
+    "s_is_n": lambda sig, d, k, data: (_with_scalar(sig, 1, _N_BYTES), d, k),
+    "s_above_n": lambda sig, d, k, data: (_with_scalar(sig, 1, b"\xff" * 32), d, k),
+    "sig_63": lambda sig, d, k, data: (sig[:63], d, k),
+    "sig_65": lambda sig, d, k, data: (sig + data[:1], d, k),
+    "digest_31": lambda sig, d, k, data: (sig, d[:31], k),
+    "digest_33": lambda sig, d, k, data: (sig, d + b"\x00", k),
+    "bytearray_digest": lambda sig, d, k, data: (sig, bytearray(d), k),
+    "bytearray_sig": lambda sig, d, k, data: (bytearray(sig), d, k),
+}
+
+
+class TestVerifyMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 1),
+           st.binary(min_size=32, max_size=32), st.binary(min_size=2, max_size=8),
+           st.booleans())
+    def test_same_verdict_as_uncached(self, mutation, signer, digest, data, fresh):
+        key = _SIGNERS[signer]
+        sig = pr.sign(key.private, digest)
+        bad_sig, bad_digest, bad_key = _MUTATIONS[mutation](sig, digest, key.public, data)
+        if fresh:
+            pr._verified.cache_clear()
+        # the mutated triple is asked before and after the valid one
+        for public, d, s in ((bad_key, bad_digest, bad_sig), (key.public, digest, sig),
+                             (bad_key, bad_digest, bad_sig), (key.public, digest, sig)):
+            assert pr.verify(public, d, s) == _reference_verify(public, d, s)
+        assert pr.verify(key.public, digest, sig)
+
+    def test_repeat_is_a_hit(self):
+        key, digest = _SIGNERS[0], hashlib.sha256(b"memo").digest()
+        sig = pr.sign(key.private, digest)
+        pr._verified.cache_clear()
+        assert pr.verify(key.public, digest, sig)
+        assert pr.verify(key.public, bytearray(digest), bytearray(sig))
+        info = pr._verified.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_wrong_lengths_never_reach_the_memo(self):
+        key, digest = _SIGNERS[0], hashlib.sha256(b"memo").digest()
+        sig = pr.sign(key.private, digest)
+        before = pr._verified.cache_info()
+        for d, s in ((digest, sig[:63]), (digest, sig + b"\x00"),
+                     (digest[:31], sig), (bytearray(digest + b"\x00"), sig)):
+            assert pr.verify(key.public, d, s) is False
+        assert pr._verified.cache_info() == before
+
+
 # ── masking ─────────────────────────────────────────────────────────────
 
 class TestMasking:

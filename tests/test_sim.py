@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmisim import sim
+from tmisim import backend, primitives, sim, verifier
 from tmisim.messages import (CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript,
                              _Struct, fields_to_json)
 from tmisim.primitives import GroupPoint, Scalar
@@ -456,3 +456,37 @@ class TestCheckpointForks:
         run_full_session(ScenarioConfig(seed=41))
         run_campaign(ScenarioConfig(seed=42), 2)
         assert sim._checkpoints.cache_info() == before
+
+
+class TestOpCounts:
+    def test_session_and_offline_verify_kernel_calls(self, monkeypatch):
+        """A fault-free session makes 14 fixed-base multiplications (the
+        cloud computes its CP point once) and checks 3 distinct signatures;
+        offline verification adds its 3 DH points and finds every
+        signature already checked."""
+        calls = {"base_mult": 0, "double_base_mult": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(backend, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(backend, name, counted)
+        outcome = run_full_session(ScenarioConfig(seed=63))
+        assert outcome.completed
+        assert calls == {"base_mult": 14, "double_base_mult": 3}
+        registry = sim.registry_from_dict(sim.registry_to_dict(outcome))
+        checks = verifier.verify_transcript(outcome.transcript, registry)
+        assert checks and all(c.ok for c in checks)
+        assert calls == {"base_mult": 17, "double_base_mult": 3}
+        assert primitives._verified.cache_info().misses == 3
+
+    def test_a_rerun_session_verifies_again(self, monkeypatch):
+        """The verdict memo lives for one session: running the same session
+        again checks its three signatures again."""
+        calls = []
+        kernel = backend.double_base_mult
+        monkeypatch.setattr(backend, "double_base_mult",
+                            lambda *args: calls.append(args) or kernel(*args))
+        assert run_full_session(ScenarioConfig(seed=64)).completed
+        assert len(calls) == 3
+        assert run_full_session(ScenarioConfig(seed=64)).completed
+        assert calls[3:] == calls[:3]
