@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .actors import (
-    VARIANT_A,
-    VARIANT_B,
-    CloudRecord,
-    c_h_key_digest,
-    report_key_digest,
-)
+from .actors import VARIANT_A, VARIANT_B, report_key_digest
 from .errors import AttackFailed, AuthFailure
 from .messages import (
     CHANNEL_PUBLIC,
@@ -106,105 +100,94 @@ class AttackReport:
         return "\n".join(lines) + "\n"
 
 
-def _single_record(view: InsiderView) -> CloudRecord:
+def _openings(ciphertext, keys):
+    """Each (key name, plaintext) for a key in `keys` that authenticates
+    `ciphertext`: one trial decryption per key, in order."""
+    for name, key in keys:
+        try:
+            yield name, sym_decrypt(key, ciphertext)
+        except AuthFailure:
+            continue
+
+
+def _insider_keys(view: InsiderView):
+    """The view's database row (None if nothing was stored) and the
+    variant A and variant B report keys, where the view holds their
+    inputs. Variant A's key is also the C_H key."""
     if not view.cloud_db:
-        raise AttackFailed("cloud database is empty; nothing was stored")
-    return view.cloud_db[0]
-
-
-def _insider_key_candidates(view: InsiderView, record: CloudRecord):
-    """The variant A and variant B report keys, where the database holds
-    their inputs."""
+        return None, []
+    record = view.cloud_db[0]
     id_h = view.cloud_session.get("id_h")
     id_d = view.cloud_session.get("appointments", {}).get(record.id_p)
     inputs = {"id_p": record.id_p, "id_h": id_h, "nid": record.nid,
               "id_d": id_d, "sn": record.sn}
-    candidates = []
+    keys = []
     if id_h is not None:
-        candidates.append(("h(id_p||id_h||nid)", report_key_digest(VARIANT_A, **inputs)))
+        keys.append(("h(id_p||id_h||nid)", report_key_digest(VARIANT_A, **inputs)))
     if id_d is not None:
-        candidates.append(("h(id_p||id_d||sn)", report_key_digest(VARIANT_B, **inputs)))
-    return candidates
+        keys.append(("h(id_p||id_d||sn)", report_key_digest(VARIANT_B, **inputs)))
+    return record, [(name, derive_key(digest)) for name, digest in keys]
 
 
-def _reveal_bundle(view: InsiderView, name: str, expected: int, missing: str):
-    """Open the row's ciphertext `name` under whichever report key opens it."""
-    record = _single_record(view)
+# step -> (the row's ciphertext field, the number of reports it carries)
+_REVEALS = {
+    "inspection": ("c_h", 1),
+    "patient_bundle": ("c_p", 2),
+    "treatment_bundle": ("c_d", 3),
+}
+
+
+def _reveal(record, keys, step: str):
+    """The reports of the row's ciphertext for `step`, opened under the
+    first of `keys` that authenticates it."""
+    if record is None:
+        raise AttackFailed("cloud database is empty; nothing was stored")
+    name, count = _REVEALS[step]
     ciphertext = getattr(record, name)
     if ciphertext is None:
-        raise AttackFailed(missing)
-    for _key_name, digest in _insider_key_candidates(view, record):
-        try:
-            data = sym_decrypt(derive_key(digest), ciphertext)
-        except AuthFailure:
-            continue
-        return decode_report_bundle(data, expected)
+        raise AttackFailed(f"record has no {name.upper()} ciphertext")
+    for _key_name, data in _openings(ciphertext, keys):
+        return decode_report_bundle(data, count)
     raise AttackFailed("no derivable key opens the ciphertext")
 
 
 def insider_reveal_inspection(view: InsiderView) -> MedicalReport:
     """Recover the hospital's inspection report from the database row."""
-    record = _single_record(view)
-    if record.c_h is None:
-        raise AttackFailed("record has no inspection ciphertext")
-    id_h = view.cloud_session.get("id_h")
-    if id_h is None:
-        raise AttackFailed("hospital identity not present in cloud state")
-    key = c_h_key_digest(record.id_p, id_h, record.nid)
-    try:
-        data = sym_decrypt(derive_key(key), record.c_h)
-    except AuthFailure as exc:
-        raise AttackFailed(f"inspection ciphertext did not open: {exc}") from None
-    return decode_report_bundle(data, 1)[0]
+    return _reveal(*_insider_keys(view), "inspection")[0]
 
 
 def insider_reveal_patient_bundle(view: InsiderView):
     """Recover (inspection, sensor) reports from the upload ciphertext."""
-    return _reveal_bundle(view, "c_p", 2, "patient upload has not completed")
+    return _reveal(*_insider_keys(view), "patient_bundle")
 
 
 def insider_reveal_treatment_bundle(view: InsiderView):
     """Recover all three reports from the treatment ciphertext."""
-    return _reveal_bundle(view, "c_d", 3, "treatment phase has not completed")
-
-
-_REVEALS = (
-    ("inspection", insider_reveal_inspection, "C_H"),
-    ("patient_bundle", insider_reveal_patient_bundle, "C_P"),
-    ("treatment_bundle", insider_reveal_treatment_bundle, "C_D"),
-)
+    return _reveal(*_insider_keys(view), "treatment_bundle")
 
 
 def insider_attack(view: InsiderView) -> AttackReport:
     """Run every applicable reveal and render the confidentiality verdict."""
-    report = AttackReport(mode="insider")
-    record = view.cloud_db[0] if view.cloud_db else None
-    if record is not None:
-        for name, digest in _insider_key_candidates(view, record):
-            report.derived_keys.append((name, derive_key(digest).hex()))
-    any_recovered = False
-    any_failed = False
-    for step, reveal, ct_name in _REVEALS:
-        report.attempts += 1
+    record, keys = _insider_keys(view)
+    report = AttackReport(mode="insider", attempts=len(_REVEALS),
+                          derived_keys=[(name, key.hex()) for name, key in keys])
+    for step, (name, _count) in _REVEALS.items():
         try:
-            result = reveal(view)
+            reports = _reveal(record, keys, step)
         except AttackFailed as exc:
-            applicable = (record is not None
-                          and getattr(record, ct_name.lower()) is not None)
-            report.reveals[step] = (REVEAL_FAILED if applicable
-                                    else REVEAL_NOT_APPLICABLE)
-            if applicable:
-                any_failed = True
+            if record is None or getattr(record, name) is None:
+                report.reveals[step] = REVEAL_NOT_APPLICABLE
+            else:
+                report.reveals[step] = REVEAL_FAILED
                 report.details[step] = str(exc)
             continue
-        reports = result if isinstance(result, tuple) else (result,)
-        report.opened.append({"ciphertext": ct_name,
+        report.opened.append({"ciphertext": name.upper(),
                               "reports": [r.to_dict() for r in reports]})
         report.reveals[step] = REVEAL_RECOVERED
-        any_recovered = True
+    recovered = bool(report.opened)
     report.verdicts["report_confidentiality"] = (
-        VERDICT_VIOLATED if any_recovered else VERDICT_HOLDS)
-    report.success = any_recovered and not any_failed
+        VERDICT_VIOLATED if recovered else VERDICT_HOLDS)
+    report.success = recovered and REVEAL_FAILED not in report.reveals.values()
     return report
 
 
@@ -212,18 +195,16 @@ def check_report_confidentiality(outcome) -> str:
     """VIOLATED iff some principal outside {P, H, D} recovers a report.
 
     Evaluated constructively: run the insider reveals against the
-    outcome's insider view. A session that stored nothing holds
-    vacuously.
+    outcome's insider view, stopping at the first that recovers one. A
+    session that stored nothing holds vacuously.
     """
-    view = InsiderView.from_outcome(outcome)
-    if not view.cloud_db:
-        return VERDICT_HOLDS
-    for _step, reveal, _ct in _REVEALS:
+    record, keys = _insider_keys(InsiderView.from_outcome(outcome))
+    for step in _REVEALS:
         try:
-            reveal(view)
-            return VERDICT_VIOLATED
+            _reveal(record, keys, step)
         except AttackFailed:
             continue
+        return VERDICT_VIOLATED
     return VERDICT_HOLDS
 
 
@@ -255,12 +236,8 @@ def passive_eavesdrop_attempt(view: PassiveView, extra_material=()) -> AttackRep
     keys = [(name, derive_key(value)) for name, value in candidates]
     report.derived_keys = [(name, key.hex()) for name, key in keys]
     for ct_name, ct in ciphertexts:
-        for key_name, key in keys:
-            report.attempts += 1
-            try:
-                plaintext = sym_decrypt(key, ct)
-            except AuthFailure:
-                continue
+        report.attempts += len(keys)
+        for key_name, plaintext in _openings(ct, keys):
             report.opened.append({"ciphertext": ct_name, "key": key_name,
                                   "plaintext": plaintext.hex(),
                                   "reports": []})

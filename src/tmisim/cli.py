@@ -109,9 +109,8 @@ def cmd_campaign(args) -> int:
         path = os.path.join(args.out, "campaign.json")
         try:
             os.makedirs(args.out, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(summary, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            with open(path, "wb") as fh:
+                fh.write(sim.json_document(summary))
         except OSError as exc:
             return _io_error("write", exc)
         print(f"summary written to {path}")
@@ -147,9 +146,8 @@ def cmd_attack(args) -> int:
     sys.stdout.write(report.to_text())
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            with open(args.out, "wb") as fh:
+                fh.write(sim.json_document(report.to_dict()))
         except OSError as exc:
             return _io_error("write", exc)
     return EXIT_OK if ok else EXIT_UNEXPECTED

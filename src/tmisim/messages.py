@@ -38,6 +38,9 @@ def encode_timestamp(millis: int) -> bytes:
     return millis.to_bytes(8, "big")
 
 
+DEFAULT_DELTA_T_MS = 2000  # the freshness window a scenario uses unless it sets one
+
+
 def check_freshness(now: int, sent: int, delta_ms: int) -> None:
     """Accept iff 0 <= now - sent <= delta_ms (inclusive at the bound)."""
     age = now - sent
@@ -119,12 +122,22 @@ def decode_report_bundle(data: bytes, expected: int):
 
 
 # ── schema-driven field codecs ──────────────────────────────────────────
+
+def _nonzero_scalar(data: bytes) -> Scalar:
+    # every scalar on the wire is a nonzero random draw or a serial masked
+    # with a digest, and a mask is 0 only with probability 2^-256
+    scalar = Scalar.from_bytes(data)
+    if scalar.is_zero():
+        raise ValueError("zero scalar")
+    return scalar
+
+
 # kind -> (fixed length or None, to bytes, from bytes); a timestamp is
 # unsigned milliseconds, a ciphertext nonce|tag|body
 
 _KINDS = {
     "bytes": (None, bytes, bytes),
-    "scalar": (None, Scalar.to_bytes, Scalar.from_bytes),
+    "scalar": (None, Scalar.to_bytes, _nonzero_scalar),
     "digest": (32, bytes, bytes),
     "signature": (64, bytes, bytes),
     "timestamp": (8, encode_timestamp, lambda data: int.from_bytes(data, "big")),

@@ -30,7 +30,6 @@ ORDER = backend.N
 
 SCALAR_BYTES = 32
 DIGEST_BYTES = 32
-KEY_BYTES = 32
 POINT_BYTES = 33
 SIGNATURE_BYTES = 64
 NONCE_BYTES = 16

@@ -29,6 +29,7 @@ from . import primitives
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
 from .errors import InvalidPoint, MalformedMessage, ProtocolError
 from .messages import (
+    DEFAULT_DELTA_T_MS,
     MESSAGE_SPEC,
     PROTOCOL,
     ROLE_CLOUD,
@@ -44,7 +45,6 @@ from .messages import (
 )
 from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
 
-DEFAULT_DELTA_T_MS = 2000
 DEFAULT_TICK_MS = 10
 # bound on tick_ms, delta_t_ms and each delay_ms: a hop or a replay then moves
 # the clock less than 2^33 ms and a delay fault less than 2^32 ms, so passing
@@ -603,14 +603,16 @@ REGISTRY_FILE = "registry.json"
 OUTCOME_FILE = "outcome.json"
 
 
+def json_document(payload) -> bytes:
+    """The bytes of a JSON file: sorted keys, two-space indent, final newline."""
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
 def write_artifacts(outcome: SessionOutcome, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, TRANSCRIPT_FILE), "wb") as fh:
-        fh.write(outcome.transcript.to_jsonl())
-    with open(os.path.join(outdir, CLOUD_DB_FILE), "wb") as fh:
-        fh.write(cloud_db_to_jsonl(outcome))
-    for name, payload in ((REGISTRY_FILE, registry_to_dict(outcome)),
-                          (OUTCOME_FILE, outcome_to_dict(outcome))):
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    for name, data in ((TRANSCRIPT_FILE, outcome.transcript.to_jsonl()),
+                       (CLOUD_DB_FILE, cloud_db_to_jsonl(outcome)),
+                       (REGISTRY_FILE, json_document(registry_to_dict(outcome))),
+                       (OUTCOME_FILE, json_document(outcome_to_dict(outcome)))):
+        with open(os.path.join(outdir, name), "wb") as fh:
+            fh.write(data)

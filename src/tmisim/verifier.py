@@ -36,6 +36,7 @@ from .actors import (
 )
 from .errors import AuthFailure, MalformedMessage
 from .messages import (
+    DEFAULT_DELTA_T_MS,
     E1Body,
     E2Body,
     E3Body,
@@ -80,10 +81,6 @@ class _Checks:
         self.results.append(CheckResult(name, bool(ok), detail))
         return bool(ok)
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
 
 class _Unreached(Exception):
     """A check's input is missing: it and every check after it are not run."""
@@ -100,7 +97,7 @@ def verify_transcript(transcript: Transcript, registry: dict | None = None,
     """Run every offline check; returns a list of CheckResult."""
     checks = _Checks()
     if delta_t_ms is None:
-        delta_t_ms = registry["delta_t_ms"] if registry else 2000
+        delta_t_ms = registry["delta_t_ms"] if registry else DEFAULT_DELTA_T_MS
 
     messages = list(transcript)
     payloads = {}  # the first payload of each message type

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tmisim import adversary as adv
@@ -84,6 +86,39 @@ class TestInsiderReveals:
         assert not report.success
         assert report.verdicts["report_confidentiality"] == adv.VERDICT_HOLDS
         assert set(report.reveals.values()) == {adv.REVEAL_NOT_APPLICABLE}
+
+
+_PUBLIC_REVEALS = (("inspection", adv.insider_reveal_inspection, "C_H"),
+                   ("patient_bundle", adv.insider_reveal_patient_bundle, "C_P"),
+                   ("treatment_bundle", adv.insider_reveal_treatment_bundle, "C_D"))
+
+
+@pytest.mark.parametrize("dropped", [(), ("id_h",), ("appointments",),
+                                     ("id_h", "appointments")],
+                         ids=lambda d: "-".join(d) or "full")
+@pytest.mark.parametrize("fixture", ["outcome_a", "outcome_b", "hup_only_outcome",
+                                     "nothing_stored_outcome"])
+def test_reveals_and_verdict_agree_with_insider_attack(fixture, dropped, request):
+    """Each public reveal returns what insider_attack lists as opened, or
+    fails where the attack's reveal did not recover; the verdict
+    function agrees with the attack's verdict."""
+    outcome = request.getfixturevalue(fixture)
+    session = {k: v for k, v in outcome.cloud_session.items() if k not in dropped}
+    outcome = dataclasses.replace(outcome, cloud_session=session)
+    view = adv.InsiderView.from_outcome(outcome)
+    report = adv.insider_attack(view)
+    opened = {entry["ciphertext"]: entry["reports"] for entry in report.opened}
+    for step, reveal, ct_name in _PUBLIC_REVEALS:
+        if report.reveals[step] != adv.REVEAL_RECOVERED:
+            assert ct_name not in opened
+            with pytest.raises(AttackFailed):
+                reveal(view)
+            continue
+        result = reveal(view)
+        reports = result if isinstance(result, tuple) else (result,)
+        assert [r.to_dict() for r in reports] == opened[ct_name], step
+    assert (adv.check_report_confidentiality(outcome)
+            == report.verdicts["report_confidentiality"])
 
 
 class TestConfidentialityVerdict:

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from tmisim import sim
 from tmisim.backend import B, P
 from tmisim.cli import _build_parser, main
+from tmisim.messages import E7Body, deserialize, serialize
+from tmisim.primitives import Scalar, SeededRng, derive_key, sym_decrypt, sym_encrypt
 
 
 def _simulate(tmp_path, *extra):
@@ -179,6 +184,15 @@ class TestAttack:
             assert "error: malformed input" in capsys.readouterr().err
 
 
+def _verify_lines(artifacts, tmp_path, lines) -> int:
+    """`verify`'s exit code for a transcript of `lines`, against the
+    artifacts' registry."""
+    transcript = tmp_path / "rewritten.jsonl"
+    transcript.write_bytes(b"\n".join(lines) + b"\n")
+    return main(["verify", "--transcript", str(transcript),
+                 "--registry", str(artifacts / sim.REGISTRY_FILE)])
+
+
 class TestVerify:
     def test_reference_transcript_passes(self, artifacts, capsys):
         code = main(["verify",
@@ -269,6 +283,31 @@ class TestVerify:
         assert len(failed) == 1
         assert found in failed[0] and value.hex() in failed[0]
 
+    @pytest.mark.parametrize("line,field", [(0, "a"), (6, "r"), (9, "x")])
+    def test_plain_zero_scalar_malformed(self, artifacts, tmp_path, capsys,
+                                         line, field):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        record = json.loads(lines[line])
+        record["fields"][field] = "00" * 32
+        lines[line] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        assert _verify_lines(artifacts, tmp_path, lines) == 3
+        err = capsys.readouterr().err
+        assert "error: malformed input" in err and "Traceback" not in err
+
+    def test_reencrypted_zero_scalar_fails_opens(self, artifacts, tmp_path, capsys):
+        """E7 re-encrypted under sk_pc, which the transcript itself yields,
+        around a zero y."""
+        outcome = json.loads((artifacts / sim.OUTCOME_FILE).read_text())
+        sk_pc = derive_key(bytes.fromhex(outcome["session_keys"]["sk_pc"]))
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        message = deserialize(lines[10])
+        body = E7Body.decode(sym_decrypt(sk_pc, message.payload.e7))
+        e7 = sym_encrypt(sk_pc, body.replace(y=Scalar(0)).encode(), SeededRng(0))
+        lines[10] = serialize(dataclasses.replace(
+            message, payload=message.payload.replace(e7=e7)))
+        assert _verify_lines(artifacts, tmp_path, lines) == 1
+        assert "FAILED: e7_opens (bad scalar field)" in capsys.readouterr().out
+
     def test_replayed_transcript_flagged(self, tmp_path, capsys):
         out = tmp_path / "replay"
         cfg = tmp_path / "config.json"
@@ -290,6 +329,58 @@ class TestVerify:
                      "--registry", str(artifacts / sim.REGISTRY_FILE)])
         assert code == 1
         assert f"FAILED: sequence ({kept} of 12 messages)" in capsys.readouterr().out
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                     / "golden_digests.json").read_text())
+
+# SHA-256 of (stdout, --out JSON) and the exit code of `tmisim attack` over
+# each golden session's artifacts, keyed by (seed, variant, mode)
+GOLDEN_ATTACKS = {
+    (1, "A", "insider"): (
+        0, "d7ee5af622c89a12a047138e78570b96c18797e6b726bb1861be8badadcf2c93",
+        "44be1e4764d6f9381a7c124c99cfe546d70380702121f3bcc058ea882d80513d"),
+    (1, "A", "passive"): (
+        0, "f94a699f02515fd9da12ff29ab9600073a29e2b11e45550732f14df04edc7d87",
+        "f23941dc5c732eeab834d2e35b4cfc9b5ad47d43524bda93e24370d66ee343b0"),
+    (1, "B", "insider"): (
+        0, "d7ee5af622c89a12a047138e78570b96c18797e6b726bb1861be8badadcf2c93",
+        "44be1e4764d6f9381a7c124c99cfe546d70380702121f3bcc058ea882d80513d"),
+    (1, "B", "passive"): (
+        0, "46601a5cdc074b3345b34111d81ecf1b0979cc11dd028c33e08cb9511dd0f231",
+        "2df941e5a2aadbc80493d27d64e27d62d2100a786af296f1778287f7483c154b"),
+    (123, "A", "insider"): (
+        0, "094b18a8384d0abb1e42643caf3136ce3c5d532a4dc1d9104df7f8c0581c06bc",
+        "fb200282c0d0d3747a24c11e6ce42a329cb55fbfaf9c1f766ceaeb844b7997b7"),
+    (123, "A", "passive"): (
+        0, "9bc4952753ed66515ed45199211d3736e03a3e87ab60ccd39b8f134a96fb32b2",
+        "d0f1e9d9c2891dc1761c301da55a47489dfd2e97c8b370c1ee685ac261839ba6"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: f"{g['seed']}{g['variant']}")
+def test_golden_sessions_are_byte_identical(golden, tmp_path, capsys):
+    """`simulate` writes the benchmark's golden artifact bytes, and
+    `attack` over them prints and writes the bytes it always has."""
+    seed, variant = golden["seed"], golden["variant"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", str(seed), "--variant", variant,
+                 "--out", str(out)]) == 0
+    assert {name: _sha256((out / name).read_bytes())
+            for name in golden["sha256"]} == golden["sha256"]
+    capsys.readouterr()
+    for mode in ("insider", "passive"):
+        report = tmp_path / f"{mode}.json"
+        code = main(["attack", "--transcript", str(out / sim.TRANSCRIPT_FILE),
+                     "--db", str(out / sim.CLOUD_DB_FILE), "--mode", mode,
+                     "--out", str(report)])
+        stdout = capsys.readouterr().out.encode()
+        assert (code, _sha256(stdout), _sha256(report.read_bytes())) == \
+            GOLDEN_ATTACKS[seed, variant, mode], mode
 
 
 class TestCachedParser:

@@ -124,6 +124,17 @@ class TestEncryptedBodies:
             cls.decode(_sample(cls).encode()[:-1])
 
 
+@pytest.mark.parametrize("cls", [c for c in _BODIES + msgs.WIRE_MESSAGES
+                                 if msgs.field_of_kind(c, "scalar")],
+                         ids=lambda c: c.__name__)
+def test_zero_scalar_rejected(cls):
+    """A zero scalar, on the wire or inside a ciphertext, is malformed."""
+    for name, kind in cls.FIELDS:
+        if kind == "scalar":
+            with pytest.raises(MalformedMessage, match="bad scalar field"):
+                cls.decode(_sample(cls).replace(**{name: Scalar(0)}).encode())
+
+
 @pytest.mark.parametrize("cls", _BODIES + msgs.WIRE_MESSAGES, ids=lambda c: c.__name__)
 def test_struct_contract(cls):
     """Each payload class is a frozen value built from its FIELDS alone, and
