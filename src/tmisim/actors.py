@@ -213,6 +213,9 @@ class Directory:
     pk_h: GroupPoint
     pk_p: GroupPoint
     pk_d: GroupPoint
+    # the JSON codec's schema
+    FIELDS = (("id_h", "bytes"), ("id_d", "bytes"), ("pk_h", "point"),
+              ("pk_p", "point"), ("pk_d", "point"))
 
 
 @dataclass(frozen=True)
@@ -340,8 +343,8 @@ class Patient:
         self._x = random_scalar(self._rng)
         return CpMsg1(self.id_p, self.nid, self._x, self.serial, now)
 
-    def cp_collect(self, msg: CpMsg2, now: int):
-        """Returns (CpMsg3, recovered (m_H, m_B, m_D) triple)."""
+    def cp_collect(self, msg: CpMsg2, now: int) -> CpMsg3:
+        """Keeps the recovered (m_H, m_B, m_D) triple in `recovered`."""
         check_freshness(now, msg.t_c11, self.delta_t_ms)
         body = E7Body.decode(sym_decrypt(derive_key(self.sk_pc), msg.e7))
         xyg = dh_point(self._x, body.y)
@@ -359,7 +362,7 @@ class Patient:
         e8 = sym_encrypt(derive_key(self.sk_pc),
                          E8Body(c_e, s8, now).encode(), self._rng)
         self.recovered = reports
-        return CpMsg3(e8, now), reports
+        return CpMsg3(e8, now)
 
 
 class Doctor:

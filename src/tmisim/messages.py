@@ -14,8 +14,8 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, NamedTuple, Optional
 
-from .errors import MalformedMessage, StaleTimestamp
-from .primitives import Ciphertext, Scalar
+from .errors import InvalidPoint, MalformedMessage, StaleTimestamp
+from .primitives import Ciphertext, GroupPoint, Scalar, frame
 
 CHANNEL_SECURE = "secure"
 CHANNEL_PUBLIC = "public"
@@ -30,10 +30,6 @@ _KIND_CODE = {k: i + 1 for i, k in enumerate(REPORT_KINDS)}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
-def _u32(n: int) -> bytes:
-    return n.to_bytes(4, "big")
-
-
 def encode_timestamp(millis: int) -> bytes:
     return millis.to_bytes(8, "big")
 
@@ -46,6 +42,23 @@ def check_freshness(now: int, sent: int, delta_ms: int) -> None:
     age = now - sent
     if age < 0 or age > delta_ms:
         raise StaleTimestamp(f"message age {age}ms outside [0, {delta_ms}]ms window")
+
+
+def _unframe(data: bytes, count: int, what: str) -> list:
+    """The `count` parts that :func:`frame` wrote, which must fill `data`
+    exactly; anything else is a MalformedMessage naming `what`."""
+    parts = []
+    end = 0
+    for _ in range(count):
+        start = end + 4
+        end = start + int.from_bytes(data[end:start], "big")
+        parts.append(data[start:end])
+    # `end` only grows, so it is past the end of `data` iff a part was cut short
+    if end > len(data):
+        raise MalformedMessage(f"truncated {what}")
+    if end < len(data):
+        raise MalformedMessage(f"trailing bytes in {what}")
+    return parts
 
 
 # ── medical reports ─────────────────────────────────────────────────────
@@ -67,35 +80,20 @@ class MedicalReport:
                 "payload": self.payload.hex()}
 
     def encode(self) -> bytes:
-        return (bytes([_KIND_CODE[self.kind]])
-                + _u32(len(self.patient)) + self.patient
-                + _u32(len(self.payload)) + self.payload)
+        return bytes([_KIND_CODE[self.kind]]) + frame([self.patient, self.payload])
 
     @classmethod
     def decode(cls, data: bytes) -> "MedicalReport":
         try:
             kind = _CODE_KIND[data[0]]
-            off = 1
-            n = int.from_bytes(data[off:off + 4], "big")
-            patient = data[off + 4:off + 4 + n]
-            if len(patient) != n:
-                raise ValueError
-            off += 4 + n
-            n = int.from_bytes(data[off:off + 4], "big")
-            payload = data[off + 4:off + 4 + n]
-            if len(payload) != n or off + 4 + n != len(data):
-                raise ValueError
-        except (IndexError, KeyError, ValueError):
+            patient, payload = _unframe(data[1:], 2, "report")
+        except (IndexError, KeyError, MalformedMessage):
             raise MalformedMessage("bad report encoding") from None
         return cls(kind, patient, payload)
 
 
 def encode_report_bundle(reports) -> bytes:
-    out = bytearray([len(reports)])
-    for report in reports:
-        enc = report.encode()
-        out += _u32(len(enc)) + enc
-    return bytes(out)
+    return bytes([len(reports)]) + frame([report.encode() for report in reports])
 
 
 def decode_report_bundle(data: bytes, expected: int):
@@ -105,20 +103,8 @@ def decode_report_bundle(data: bytes, expected: int):
         raise MalformedMessage("empty report bundle") from None
     if count != expected:
         raise MalformedMessage(f"expected {expected} reports, found {count}")
-    reports = []
-    off = 1
-    for _ in range(count):
-        if off + 4 > len(data):
-            raise MalformedMessage("truncated report bundle")
-        n = int.from_bytes(data[off:off + 4], "big")
-        off += 4
-        if off + n > len(data):
-            raise MalformedMessage("truncated report bundle")
-        reports.append(MedicalReport.decode(data[off:off + n]))
-        off += n
-    if off != len(data):
-        raise MalformedMessage("trailing bytes in report bundle")
-    return tuple(reports)
+    return tuple(MedicalReport.decode(part)
+                 for part in _unframe(data[1:], count, "report bundle"))
 
 
 # ── schema-driven field codecs ──────────────────────────────────────────
@@ -133,7 +119,7 @@ def _nonzero_scalar(data: bytes) -> Scalar:
 
 
 # kind -> (fixed length or None, to bytes, from bytes); a timestamp is
-# unsigned milliseconds, a ciphertext nonce|tag|body
+# unsigned milliseconds, a ciphertext nonce|tag|body, a point compressed
 
 _KINDS = {
     "bytes": (None, bytes, bytes),
@@ -142,6 +128,7 @@ _KINDS = {
     "signature": (64, bytes, bytes),
     "timestamp": (8, encode_timestamp, lambda data: int.from_bytes(data, "big")),
     "ciphertext": (None, Ciphertext.encode, Ciphertext.decode),
+    "point": (33, GroupPoint.encode, GroupPoint.decode),
 }
 
 
@@ -159,7 +146,7 @@ def _field_from_bytes(data: bytes, kind: str):
         if size is not None and len(data) != size:
             raise ValueError
         return from_bytes(data)
-    except ValueError:
+    except (ValueError, InvalidPoint):
         raise MalformedMessage(f"bad {kind} field") from None
 
 
@@ -237,28 +224,14 @@ class _Struct:
                             for name in self.__slots__], **changes)
 
     def encode(self) -> bytes:
-        out = bytearray()
-        for name, kind in self.FIELDS:
-            data = _field_to_bytes(getattr(self, name), kind)
-            out += _u32(len(data)) + data
-        return bytes(out)
+        return frame([_field_to_bytes(getattr(self, name), kind)
+                      for name, kind in self.FIELDS])
 
     @classmethod
     def decode(cls, data: bytes):
-        values = []
-        off = 0
-        for _name, kind in cls.FIELDS:
-            if off + 4 > len(data):
-                raise MalformedMessage(f"truncated {cls.__name__}")
-            n = int.from_bytes(data[off:off + 4], "big")
-            off += 4
-            if off + n > len(data):
-                raise MalformedMessage(f"truncated {cls.__name__}")
-            values.append(_field_from_bytes(data[off:off + n], kind))
-            off += n
-        if off != len(data):
-            raise MalformedMessage(f"trailing bytes in {cls.__name__}")
-        return cls(*values)
+        fields = cls.FIELDS
+        return cls(*[_field_from_bytes(part, kind) for part, (_, kind)
+                     in zip(_unframe(data, len(fields), cls.__name__), fields)])
 
 
 def _struct(name: str, fields: tuple) -> type:

@@ -36,8 +36,10 @@ NONCE_BYTES = 16
 TAG_BYTES = 32
 
 
-def _u32(n: int) -> bytes:
-    return n.to_bytes(4, "big")
+def frame(parts) -> bytes:
+    """Each part behind its 4-byte big-endian length: the one length-prefixed
+    layout, so a list of parts can never be read back as another list."""
+    return b"".join([len(part).to_bytes(4, "big") + part for part in parts])
 
 
 # ── deterministic randomness ────────────────────────────────────────────
@@ -60,7 +62,7 @@ class SeededRng:
                 raise ValueError("seed must be non-negative")
             seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
         self._key = hashlib.sha256(
-            b"tmisim.rng\x00" + _u32(len(seed)) + seed + label
+            b"tmisim.rng\x00" + frame([seed]) + label
         ).digest()
         self._counter = 0
 
@@ -234,13 +236,7 @@ def hash_fields(domain_tag: bytes, parts) -> bytes:
         raise ValueError("parts must be non-empty")
     if len(domain_tag) > 255:
         raise ValueError("domain tag too long")
-    h = hashlib.sha256()
-    h.update(bytes([len(domain_tag)]))
-    h.update(domain_tag)
-    for part in parts:
-        h.update(_u32(len(part)))
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(bytes([len(domain_tag)]) + domain_tag + frame(parts)).digest()
 
 
 def derive_key(source) -> bytes:

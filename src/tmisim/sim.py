@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import primitives
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
-from .errors import InvalidPoint, MalformedMessage, ProtocolError
+from .errors import MalformedMessage, ProtocolError
 from .messages import (
     DEFAULT_DELTA_T_MS,
     MESSAGE_SPEC,
@@ -38,12 +38,13 @@ from .messages import (
     ROLE_PATIENT,
     MedicalReport,
     Transcript,
+    _value_from_json,
     field_of_kind,
     fields_from_json,
     fields_to_json,
     make_channel_message,
 )
-from .primitives import Ciphertext, GroupPoint, KeyPair, Scalar, SeededRng
+from .primitives import Ciphertext, KeyPair, Scalar, SeededRng
 
 DEFAULT_TICK_MS = 10
 # bound on tick_ms, delta_t_ms and each delay_ms: a hop or a replay then moves
@@ -144,7 +145,6 @@ class SessionOutcome:
 # the _Session attribute holding each role's actor
 _ACTOR = {ROLE_HOSPITAL: "hospital", ROLE_PATIENT: "patient",
           ROLE_DOCTOR: "doctor", ROLE_CLOUD: "cloud"}
-_COLLECT = 10  # receiving CpMsg2 returns the reply and the recovered reports
 
 
 def _tampered(payload, offset: int):
@@ -185,7 +185,6 @@ class _Session:
                            rng=master.fork("rng/C"), **common)
         self.now = 0
         self.transcript = Transcript()
-        self.recovered = None
         self.replay_rejections = []
         self.abort: Optional[AbortInfo] = None
         self._phase = self._step = ""
@@ -235,21 +234,16 @@ class _Session:
     def step(self) -> None:
         """Send the next message and run its receiving step; a ProtocolError
         from either side becomes the session's abort."""
-        index = len(self.transcript)
-        spec = PROTOCOL[index]
+        spec = PROTOCOL[len(self.transcript)]
         try:
             if spec.send is not None:
                 self._phase, (self._step, method) = spec.phase, spec.send
                 self._pending = getattr(getattr(self, _ACTOR[spec.sender]), method)(
                     self.now)
-            reply = self._receive(self._transmit(self._pending))
+            self._pending = self._receive(self._transmit(self._pending))
         except ProtocolError as exc:
             self.abort = AbortInfo(self._phase, self._step,
                                    type(exc).__name__, len(self.transcript) - 1)
-            return
-        if index == _COLLECT:
-            reply, self.recovered = reply
-        self._pending = reply
 
     def run(self) -> SessionOutcome:
         while not self.finished:
@@ -267,7 +261,7 @@ class _Session:
             cloud_db=list(self.cloud.db.values()),
             cloud_session=self.cloud.session_values(),
             session_keys=keys,
-            recovered_reports=self.recovered,
+            recovered_reports=self.patient.recovered,
             replay_rejections=self.replay_rejections,
             abort=self.abort,
         )
@@ -485,16 +479,21 @@ def _session_value_json(value):
     raise TypeError(f"cannot export session value of type {type(value).__name__}")
 
 
+# a session value's tag -> its codec kind; every int the cloud keeps is a
+# timestamp, and the one map (appointments) maps bytes to bytes
+_SESSION_KINDS = {"scalar": "scalar", "bytes": "bytes", "int": "timestamp"}
+
+
 def _session_value_from_json(data):
-    if "scalar" in data:
-        return Scalar.from_bytes(bytes.fromhex(data["scalar"]))
-    if "bytes" in data:
-        return bytes.fromhex(data["bytes"])
-    if "int" in data:
-        return int(data["int"])
-    if "map" in data:
-        return {bytes.fromhex(k): bytes.fromhex(v) for k, v in data["map"].items()}
-    raise ValueError("unrecognised session value")
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ValueError("a session value has exactly one tag")
+    (tag, raw), = data.items()
+    if tag == "map":
+        return {_value_from_json(k, "bytes"): _value_from_json(v, "bytes")
+                for k, v in raw.items()}
+    if tag not in _SESSION_KINDS:
+        raise ValueError(f"unrecognised session value tag {tag!r}")
+    return _value_from_json(raw, _SESSION_KINDS[tag])
 
 
 def session_values_to_dict(values: dict) -> dict:
@@ -505,7 +504,7 @@ def session_values_to_dict(values: dict) -> dict:
 def session_values_from_dict(data: dict) -> dict:
     try:
         values = {k: _session_value_from_json(v) for k, v in data["values"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud session state: {exc}") from None
     # the values an insider reads must have the types the cloud exports
     if (not isinstance(values.get("id_h", b""), bytes)
@@ -543,40 +542,22 @@ def cloud_db_from_jsonl(data: bytes):
 
 
 def registry_to_dict(outcome: SessionOutcome) -> dict:
-    d = outcome.directory
-    return {
-        "id_h": d.id_h.hex(),
-        "id_d": d.id_d.hex(),
-        "pk_h": d.pk_h.encode().hex(),
-        "pk_p": d.pk_p.encode().hex(),
-        "pk_d": d.pk_d.encode().hex(),
-        "variant": outcome.config.variant,
-        "delta_t_ms": outcome.config.delta_t_ms,
-        "tick_ms": outcome.config.tick_ms,
-    }
+    cfg = outcome.config
+    return {**fields_to_json(outcome.directory), "variant": cfg.variant,
+            "delta_t_ms": cfg.delta_t_ms, "tick_ms": cfg.tick_ms}
 
 
 def registry_from_dict(data: dict) -> dict:
     try:
-        registry = {
-            "id_h": bytes.fromhex(data["id_h"]),
-            "id_d": bytes.fromhex(data["id_d"]),
-            "pk_h": GroupPoint.decode(bytes.fromhex(data["pk_h"])),
-            "pk_p": GroupPoint.decode(bytes.fromhex(data["pk_p"])),
-            "pk_d": GroupPoint.decode(bytes.fromhex(data["pk_d"])),
-            "variant": data["variant"],
-            "delta_t_ms": data["delta_t_ms"],
-            "tick_ms": data["tick_ms"],
-        }
-    except (KeyError, TypeError, ValueError, InvalidPoint) as exc:
+        directory = Directory(**fields_from_json(Directory, data))
+        # the variant and the windows obey the rules of the config they came from
+        cfg = ScenarioConfig(variant=data["variant"], delta_t_ms=_int(data, "delta_t_ms"),
+                             tick_ms=_int(data, "tick_ms"))
+        cfg.validate()
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
         raise ValueError(f"bad registry: {exc}") from None
-    if registry["variant"] not in VARIANTS:
-        raise ValueError(f"bad registry: variant must be one of {VARIANTS}")
-    for name in ("delta_t_ms", "tick_ms"):
-        value = registry[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"bad registry: {name} must be a positive integer")
-    return registry
+    return {**vars(directory), "variant": cfg.variant, "delta_t_ms": cfg.delta_t_ms,
+            "tick_ms": cfg.tick_ms}
 
 
 def outcome_to_dict(outcome: SessionOutcome) -> dict:

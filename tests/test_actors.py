@@ -86,9 +86,9 @@ def run_tp(doctor, cloud, t):
 def run_cp(patient, cloud, t):
     m1 = patient.cp_request(t + 10)
     m2 = cloud.cp_respond(m1, t + 20)
-    m3, reports = patient.cp_collect(m2, t + 30)
+    m3 = patient.cp_collect(m2, t + 30)
     record = cloud.cp_store(m3, t + 40)
-    return record, reports
+    return record, patient.recovered
 
 
 @pytest.mark.parametrize("variant", actors.VARIANTS)

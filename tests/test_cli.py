@@ -169,14 +169,20 @@ class TestAttack:
     def test_malformed_db(self, artifacts, tmp_path, capsys):
         record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
         values = json.loads(state)["values"]
-        mistyped = json.dumps({"type": "cloud_session_state", "values": {
-            **values, "appointments": {"bytes": "00"}}})
+        mistyped = [{"appointments": {"bytes": "00"}},
+                    {"hup.t_h1": {"int": float("inf")}},
+                    {"hup.t_h1": {"int": True}},
+                    {"hup.t_h1": {"int": "12"}},
+                    {"hup.a": {"scalar": "00" * 32}},
+                    {"hup.t_h1": {"int": 12, "bytes": "00"}}]
         bad = tmp_path / "bad_db.jsonl"
         for text in ("definitely not json",
                      "[1, 2]",
                      '{"type": "cloud_session_state"}',
                      '{"type": "cloud_session_state", "values": {"x": 5}}',
-                     f"{record}\n{mistyped}"):
+                     *(record + "\n" + json.dumps({"type": "cloud_session_state",
+                                                   "values": {**values, **changed}})
+                       for changed in mistyped)):
             bad.write_text(text + "\n")
             assert main(["attack",
                          "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
@@ -240,7 +246,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("corrupt", ["bad_prefix", "x_out_of_range", "off_curve",
                                          "unknown_variant", "bool_window",
-                                         "zero_tick"])
+                                         "zero_tick", "huge_window", "missing_pk_p"])
     def test_corrupted_registry_key_malformed(self, artifacts, tmp_path,
                                               capsys, corrupt):
         registry = json.loads((artifacts / sim.REGISTRY_FILE).read_text())
@@ -254,8 +260,13 @@ class TestVerify:
             "unknown_variant": ("variant", "Z"),
             "bool_window": ("delta_t_ms", True),
             "zero_tick": ("tick_ms", 0),
+            "huge_window": ("delta_t_ms", 1 << 32),
+            "missing_pk_p": ("pk_p", None),
         }[corrupt]
-        registry[name] = value
+        if value is None:
+            del registry[name]
+        else:
+            registry[name] = value
         path = tmp_path / "registry.json"
         path.write_text(json.dumps(registry))
         code = main(["verify",

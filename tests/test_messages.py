@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tmisim import messages as msgs
 from tmisim.errors import MalformedMessage, StaleTimestamp
-from tmisim.primitives import Scalar, SeededRng, derive_key, sym_encrypt
+from tmisim.primitives import Scalar, SeededRng, derive_key, frame, sym_encrypt
 
 
 def _ct(label=b"ct"):
@@ -206,6 +206,35 @@ class TestReports:
     def test_report_roundtrip_property(self, payload, patient):
         report = msgs.MedicalReport("inspection", patient, payload)
         assert msgs.MedicalReport.decode(report.encode()) == report
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.binary(max_size=24), min_size=1, max_size=5),
+       st.sampled_from(_BODIES), st.integers(0, 255))
+def test_one_framer(parts, cls, extra):
+    """`_unframe` reads back exactly what `frame` wrote; every strict prefix
+    and every one-byte extension of an encoded body, report or bundle is
+    malformed, with the message its decoder names."""
+    assert msgs._unframe(frame(parts), len(parts), "parts") == parts
+    reports = (msgs.MedicalReport("inspection", parts[0], b"".join(parts)),
+               msgs.MedicalReport("sensor", parts[-1], parts[0]))
+    bundle = msgs.encode_report_bundle(reports)
+    name = cls.__name__
+    for decode, data, cut, extended in (
+            (cls.decode, _sample(cls).encode(), f"truncated {name}",
+             f"trailing bytes in {name}"),
+            (msgs.MedicalReport.decode, reports[0].encode(), "bad report encoding",
+             "bad report encoding"),
+            (lambda data: msgs.decode_report_bundle(data, 2), bundle,
+             "(empty|truncated) report bundle", "trailing bytes in report bundle")):
+        decode(data)
+        for end in range(len(data)):
+            with pytest.raises(MalformedMessage, match=f"^{cut}$"):
+                decode(data[:end])
+        with pytest.raises(MalformedMessage, match=f"^{extended}$"):
+            decode(data + bytes([extra]))
+    with pytest.raises(MalformedMessage, match="^expected 3 reports, found 2$"):
+        msgs.decode_report_bundle(bundle, 3)
 
 
 class TestTranscript:
