@@ -413,9 +413,7 @@ class Doctor:
         return TpMsg3(e6, now)
 
 
-# context entries kept for the phase's own later step, not exported:
-# the row's db key, and the CP shared point that cp_store reuses
-_UNEXPORTED = ("row", "xyg")
+_UNEXPORTED = ("row",)  # the row's db key, kept for the phase's own later step
 
 
 def _context(**values) -> tuple:
@@ -558,8 +556,7 @@ class Cloud:
         e7 = sym_encrypt(derive_key(self.sk_cp),
                          E7Body(id_d, record.sig_d, record.c_d, s7, y, now).encode(),
                          self._rng)
-        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now,
-                            xyg=xyg)
+        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now)
         return CpMsg2(e7, now)
 
     def cp_store(self, msg: CpMsg3, now: int) -> CloudRecord:
@@ -570,7 +567,7 @@ class Cloud:
         record = self.db[ctx["row"]]
         body = E8Body.decode(sym_decrypt(derive_key(self.sk_cp), msg.e8))
         s8 = s8_digest(self.sk_cp, ctx["s7"], body.c_e, record.sig_p, record.sig_d,
-                       ctx["xyg"], msg.t_p6)
+                       dh_point(ctx["x"], ctx["y"]), msg.t_p6)
         if s8 != body.s8:
             raise DigestMismatch("checkup digest S8 mismatch")
         record = self.db[ctx["row"]] = replace(record, c_e=body.c_e)

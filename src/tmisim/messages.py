@@ -128,7 +128,8 @@ _KINDS = {
     "signature": (64, bytes, bytes),
     "timestamp": (8, encode_timestamp, lambda data: int.from_bytes(data, "big")),
     "ciphertext": (None, Ciphertext.encode, Ciphertext.decode),
-    "point": (33, GroupPoint.encode, GroupPoint.decode),
+    # looked up per call, so a wrapper installed on the class is seen
+    "point": (33, GroupPoint.encode, lambda data: GroupPoint.decode(data)),
 }
 
 
@@ -407,6 +408,8 @@ def deserialize(data: bytes) -> ChannelMessage:
         sent_at = record["sent_at"]
     except (KeyError, TypeError):
         raise MalformedMessage("transcript line is missing required keys") from None
+    if not all(isinstance(value, str) for value in (sender, receiver, channel)):
+        raise MalformedMessage("from, to and channel must be strings")
     if not isinstance(sent_at, int) or isinstance(sent_at, bool) or sent_at < 0:
         raise MalformedMessage("bad sent_at")
     if (not isinstance(raw_fields, dict)

@@ -200,8 +200,16 @@ def shared_point(my_ephemeral: Scalar, their_public_ephemeral: GroupPoint) -> Gr
 
 def dh_point(mine: Scalar, theirs: Scalar) -> GroupPoint:
     # both sides of this protocol hold both scalars, so the shared point
-    # collapses to a single fixed-base multiplication
-    return ec_base_mul(mine.mul_mod(theirs))
+    # collapses to a single fixed-base multiplication by their product
+    return _dh(mine.value * theirs.value % ORDER)
+
+
+# Both parties to a key agreement, and offline verification, compute its
+# shared point, so it is memoised on the product that dh_point(a, b) and
+# dh_point(b, a) share; sim.run_full_session empties it at each session.
+@functools.lru_cache(maxsize=8)
+def _dh(k: int) -> GroupPoint:
+    return ec_base_mul(Scalar(k))
 
 
 def random_scalar(rng: SeededRng) -> Scalar:

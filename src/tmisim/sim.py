@@ -323,11 +323,13 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     session (shared across calls with the same base) taken just before
     the fault, and only the rest of the session runs.
 
-    The signature-verdict memo is emptied first: it serves this session
-    and the offline verification of its transcript, never another session.
+    The signature-verdict and shared-point memos are emptied first: they
+    serve this session (10 fixed-base multiplications when fault-free) and
+    the offline verification of its transcript (none), never another one.
     """
     cfg.validate()
     primitives._verified.cache_clear()
+    primitives._dh.cache_clear()
     if not cfg.faults:
         return _Session(cfg).run()
     base = _checkpoints(dataclasses.replace(cfg, faults=()))
@@ -523,7 +525,7 @@ def cloud_db_to_jsonl(outcome: SessionOutcome) -> bytes:
 
 def cloud_db_from_jsonl(data: bytes):
     """Parse a db export into (records, session_values)."""
-    records, session = [], {}
+    records, session = [], None
     for line in data.splitlines():
         if not line.strip():
             continue
@@ -535,10 +537,12 @@ def cloud_db_from_jsonl(data: bytes):
         if kind == "cloud_record":
             records.append(record_from_dict(obj))
         elif kind == "cloud_session_state":
+            if session is not None:
+                raise ValueError("more than one cloud session state line")
             session = session_values_from_dict(obj)
         else:
             raise ValueError(f"unknown db line type {kind!r}")
-    return records, session
+    return records, {} if session is None else session
 
 
 def registry_to_dict(outcome: SessionOutcome) -> dict:

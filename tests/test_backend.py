@@ -257,15 +257,17 @@ def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
         for name in ("pure", "compiled"):
             backend.use(name)
             # neither the memoised fault-free base nor a memoised signature
-            # verdict may cross backends
+            # verdict or shared point may cross backends
             sim._checkpoints.cache_clear()
             primitives._verified.cache_clear()
+            primitives._dh.cache_clear()
             for i, cfg in enumerate(configs):
                 sim.write_artifacts(sim.run_full_session(cfg),
                                     tmp_path / name / str(i))
     finally:
         sim._checkpoints.cache_clear()
         primitives._verified.cache_clear()
+        primitives._dh.cache_clear()
     assert compiled_calls, "the compiled pass never verified a signature"
     for i, cfg in enumerate(configs):
         for artifact in (sim.TRANSCRIPT_FILE, sim.CLOUD_DB_FILE,

@@ -189,6 +189,22 @@ class TestAttack:
                          "--db", str(bad), "--mode", "insider"]) == 3, text
             assert "error: malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second_id_h", [None, {"bytes": "00"}])
+    def test_second_session_line_malformed(self, artifacts, tmp_path, capsys,
+                                           second_id_h):
+        """The cloud writes one session line; a second one, repeated or
+        rewritten, is rejected rather than read over the first."""
+        record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
+        second = json.loads(state)
+        if second_id_h is not None:
+            second["values"]["id_h"] = second_id_h
+        bad = tmp_path / "two_sessions.jsonl"
+        bad.write_text("\n".join([record, state, json.dumps(second)]) + "\n")
+        assert main(["attack",
+                     "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--db", str(bad), "--mode", "insider"]) == 3
+        assert "more than one cloud session state line" in capsys.readouterr().err
+
 
 def _verify_lines(artifacts, tmp_path, lines) -> int:
     """`verify`'s exit code for a transcript of `lines`, against the
@@ -293,6 +309,18 @@ class TestVerify:
                   if line.startswith("FAILED: cp_identity")]
         assert len(failed) == 1
         assert found in failed[0] and value.hex() in failed[0]
+
+    @pytest.mark.parametrize("key", ["from", "to", "channel"])
+    @pytest.mark.parametrize("value", [7, None, ["C"]])
+    def test_non_string_routing_field_malformed(self, artifacts, tmp_path, capsys,
+                                                key, value):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        record = json.loads(lines[1])
+        record[key] = value
+        lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        assert _verify_lines(artifacts, tmp_path, lines) == 3
+        err = capsys.readouterr().err
+        assert "from, to and channel must be strings" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line,field", [(0, "a"), (6, "r"), (9, "x")])
     def test_plain_zero_scalar_malformed(self, artifacts, tmp_path, capsys,

@@ -353,6 +353,25 @@ class TestVerifyMemo:
         assert pr._verified.cache_info() == before
 
 
+class TestSharedPointMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, pr.ORDER - 1), st.integers(1, pr.ORDER - 1))
+    def test_same_point_as_uncached_and_one_miss_per_pair(self, a, b):
+        a, b = pr.Scalar(a), pr.Scalar(b)
+        expected = pr.ec_base_mul(a.mul_mod(b))
+        pr._dh.cache_clear()
+        assert pr.dh_point(a, b) == expected
+        assert pr.dh_point(b, a) == expected
+        info = pr._dh.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_zero_scalar_rejected_and_not_memoised(self):
+        pr._dh.cache_clear()
+        with pytest.raises(ValueError):
+            pr.dh_point(pr.Scalar(0), pr.Scalar(5))
+        assert pr._dh.cache_info().currsize == 0
+
+
 # ── masking ─────────────────────────────────────────────────────────────
 
 class TestMasking:

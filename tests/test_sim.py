@@ -460,10 +460,10 @@ class TestCheckpointForks:
 
 class TestOpCounts:
     def test_session_and_offline_verify_kernel_calls(self, monkeypatch):
-        """A fault-free session makes 14 fixed-base multiplications (the
-        cloud computes its CP point once) and checks 3 distinct signatures;
-        offline verification adds its 3 DH points and finds every
-        signature already checked."""
+        """A fault-free session makes 10 fixed-base multiplications (each
+        of its four shared points once) and checks 3 distinct signatures;
+        offline verification finds its 3 shared points and every signature
+        already computed."""
         calls = {"base_mult": 0, "double_base_mult": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(backend, name)):
@@ -472,12 +472,13 @@ class TestOpCounts:
             monkeypatch.setattr(backend, name, counted)
         outcome = run_full_session(ScenarioConfig(seed=63))
         assert outcome.completed
-        assert calls == {"base_mult": 14, "double_base_mult": 3}
+        assert calls == {"base_mult": 10, "double_base_mult": 3}
         registry = sim.registry_from_dict(sim.registry_to_dict(outcome))
         checks = verifier.verify_transcript(outcome.transcript, registry)
         assert checks and all(c.ok for c in checks)
-        assert calls == {"base_mult": 17, "double_base_mult": 3}
+        assert calls == {"base_mult": 10, "double_base_mult": 3}
         assert primitives._verified.cache_info().misses == 3
+        assert primitives._dh.cache_info().misses == 4
 
     def test_a_rerun_session_verifies_again(self, monkeypatch):
         """The verdict memo lives for one session: running the same session
@@ -490,3 +491,10 @@ class TestOpCounts:
         assert len(calls) == 3
         assert run_full_session(ScenarioConfig(seed=64)).completed
         assert calls[3:] == calls[:3]
+
+    def test_a_rerun_session_computes_its_shared_points_again(self):
+        """The shared-point memo lives for one session: running the same
+        session again misses on each of its four points again."""
+        for _ in range(2):
+            assert run_full_session(ScenarioConfig(seed=65)).completed
+            assert primitives._dh.cache_info().misses == 4

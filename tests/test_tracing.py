@@ -50,3 +50,19 @@ def test_install_and_restore(tracing, modules):
         tracer.restore()
     assert all(vars(owner)[attr] is original
                for owner, attr, original, _wrapper in tracer._patches)
+
+
+def test_registry_round_trip_records_its_point_decodes(tracing, modules):
+    """The schema codec decodes a point through the class attribute, so the
+    wrapper on GroupPoint.decode sees the registry's three public keys."""
+    sim = modules.sim
+    data = sim.registry_to_dict(sim.run_full_session(sim.ScenarioConfig(seed=5)))
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        sim.registry_from_dict(data)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("primitives.point_decode") == 3
+    assert names.count("backend.is_on_curve") == 3
