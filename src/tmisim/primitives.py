@@ -206,7 +206,8 @@ def dh_point(mine: Scalar, theirs: Scalar) -> GroupPoint:
 
 # Both parties to a key agreement, and offline verification, compute its
 # shared point, so it is memoised on the product that dh_point(a, b) and
-# dh_point(b, a) share; sim.run_full_session empties it at each session.
+# dh_point(b, a) share. Building a sim._Session empties it; the session's
+# forks share it, so a faulted run finds its base's points.
 @functools.lru_cache(maxsize=8)
 def _dh(k: int) -> GroupPoint:
     return ec_base_mul(Scalar(k))
@@ -378,8 +379,8 @@ def verify(public: GroupPoint, digest: bytes, sig: bytes) -> bool:
 # A session checks each of its three signatures more than once (the
 # receiving actors, then offline verification), always on the same public
 # inputs, so the verdict is memoised on exactly those inputs. Nothing
-# secret enters the memo. sim.run_full_session empties it when a session
-# starts, so it only has to hold one session's signatures.
+# secret enters the memo. Building a sim._Session empties it and the
+# session's forks share it, so it only has to hold one session's signatures.
 @functools.lru_cache(maxsize=8)
 def _verified(x: int, y: int, digest: bytes, sig: bytes) -> bool:
     r = int.from_bytes(sig[:32], "big")

@@ -164,6 +164,10 @@ class _Session:
     """One session, advanced one transmission at a time by :meth:`step`."""
 
     def __init__(self, cfg: ScenarioConfig):
+        # the verdict and shared-point memos serve this session and its
+        # forks (fork() runs no __init__), never another session
+        primitives._verified.cache_clear()
+        primitives._dh.cache_clear()
         self.cfg = cfg
         master = SeededRng(cfg.seed, "session")
         kp_h = KeyPair.generate(master.fork("keypair/H"))
@@ -323,13 +327,13 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     session (shared across calls with the same base) taken just before
     the fault, and only the rest of the session runs.
 
-    The signature-verdict and shared-point memos are emptied first: they
-    serve this session (10 fixed-base multiplications when fault-free) and
-    the offline verification of its transcript (none), never another one.
+    Building a session empties the signature-verdict and shared-point
+    memos, so a fault-free run (10 fixed-base multiplications) and a new
+    base start from empty ones, and the offline verification of the
+    transcript makes none. A fork keeps them: a faulted run reuses the
+    points and verdicts its base already computed.
     """
     cfg.validate()
-    primitives._verified.cache_clear()
-    primitives._dh.cache_clear()
     if not cfg.faults:
         return _Session(cfg).run()
     base = _checkpoints(dataclasses.replace(cfg, faults=()))
@@ -462,11 +466,27 @@ def record_to_dict(record: CloudRecord) -> dict:
     return {"type": "cloud_record", **fields_to_json(record)}
 
 
+# the optional fields of a cloud record, by the phase that stores them: a
+# phase sets all of its fields at once, and only after the phase before it
+_RECORD_PHASES = (("sig_p", "c_p"), ("sig_d", "c_d"), ("c_e",))
+
+
 def record_from_dict(data: dict) -> CloudRecord:
     try:
-        return CloudRecord(**fields_from_json(CloudRecord, data))
+        record = CloudRecord(**fields_from_json(CloudRecord, data))
     except (TypeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud record: {exc}") from None
+    stored = []
+    for names in _RECORD_PHASES:
+        filled = {getattr(record, name) is not None for name in names}
+        if len(filled) > 1:
+            raise ValueError(f"bad cloud record: {' and '.join(names)} "
+                             "must be set together")
+        stored.append(filled.pop())
+    if stored != sorted(stored, reverse=True):
+        raise ValueError("bad cloud record: a later phase's fields are set "
+                         "while an earlier phase's are not")
+    return record
 
 
 def _session_value_json(value):

@@ -206,6 +206,59 @@ class TestAttack:
         assert "more than one cloud session state line" in capsys.readouterr().err
 
 
+def _record(run) -> dict:
+    """The cloud record line of a run's db export, as JSON."""
+    return json.loads((run / sim.CLOUD_DB_FILE).read_text().splitlines()[0])
+
+
+def _insider_exit(run, tmp_path, record=None) -> int:
+    """`attack --mode insider`'s exit code on a run's artifacts, with its
+    cloud record replaced by `record` if one is given."""
+    record_line, state = (run / sim.CLOUD_DB_FILE).read_text().splitlines()
+    db = tmp_path / "db.jsonl"
+    db.write_text((record_line if record is None else json.dumps(record))
+                  + "\n" + state + "\n")
+    return main(["attack", "--transcript", str(run / sim.TRANSCRIPT_FILE),
+                 "--db", str(db), "--mode", "insider"])
+
+
+class TestCloudRecordPhases:
+    """A loaded cloud record has its optional fields filled phase by phase,
+    as the cloud stores them: (sig_p, c_p), then (sig_d, c_d), then c_e."""
+
+    @pytest.mark.parametrize("nulled", [("sig_p",), ("c_p",), ("sig_d",), ("c_d",),
+                                        ("sig_p", "c_p"), ("sig_d", "c_d")])
+    def test_out_of_phase_record_malformed(self, tmp_path, capsys, nulled):
+        _, run = _simulate(tmp_path)
+        record = _record(run)
+        assert None not in record.values()
+        record.update(dict.fromkeys(nulled))
+        capsys.readouterr()
+        assert _insider_exit(run, tmp_path, record) == 3
+        assert "bad cloud record" in capsys.readouterr().err
+
+    def test_record_without_c_e_loads_as_an_abort_at_message_11(self, tmp_path, capsys):
+        """Nulling c_e alone leaves the record a session aborted at its
+        last message writes, so it loads."""
+        _, run = _simulate(tmp_path)
+        record = _record(run)
+        record["c_e"] = None
+        assert _insider_exit(run, tmp_path, record) == 0
+        assert "not-applicable" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target, nulls", [(4, 5), (5, 5), (8, 3), (11, 1),
+                                               (None, 0)])
+    def test_records_the_cloud_writes_load(self, tmp_path, target, nulls):
+        config = tmp_path / "config.json"
+        faults = [] if target is None else [{"target": target, "action": "tamper"}]
+        config.write_text(json.dumps({"seed": 3, "faults": faults}))
+        code, run = _simulate(tmp_path, "--config", str(config))
+        assert code == (0 if target is None else 1)
+        record = _record(run)
+        assert list(record.values()).count(None) == nulls
+        assert _insider_exit(run, tmp_path) == 0
+
+
 def _verify_lines(artifacts, tmp_path, lines) -> int:
     """`verify`'s exit code for a transcript of `lines`, against the
     artifacts' registry."""

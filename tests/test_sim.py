@@ -458,18 +458,24 @@ class TestCheckpointForks:
         assert sim._checkpoints.cache_info() == before
 
 
+def _count_kernel_calls(monkeypatch):
+    """Count each call of the two EC kernels, in a dict that is live."""
+    calls = {"base_mult": 0, "double_base_mult": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(backend, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(backend, name, counted)
+    return calls
+
+
 class TestOpCounts:
     def test_session_and_offline_verify_kernel_calls(self, monkeypatch):
         """A fault-free session makes 10 fixed-base multiplications (each
         of its four shared points once) and checks 3 distinct signatures;
         offline verification finds its 3 shared points and every signature
         already computed."""
-        calls = {"base_mult": 0, "double_base_mult": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(backend, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(backend, name, counted)
+        calls = _count_kernel_calls(monkeypatch)
         outcome = run_full_session(ScenarioConfig(seed=63))
         assert outcome.completed
         assert calls == {"base_mult": 10, "double_base_mult": 3}
@@ -498,3 +504,37 @@ class TestOpCounts:
         for _ in range(2):
             assert run_full_session(ScenarioConfig(seed=65)).completed
             assert primitives._dh.cache_info().misses == 4
+
+    def test_a_fork_reuses_its_base_shared_points(self, monkeypatch):
+        """The hospital computes the HUP shared point before message 2 is
+        sent, so a fork that tampers message 2 finds it in the memo."""
+        base = ScenarioConfig(seed=66)
+        cfg = _faulted(base, FaultInjection(2, "tamper", offset=4))
+        assert run_full_session(cfg).abort.message_index == 2
+        calls = _count_kernel_calls(monkeypatch)
+        assert run_full_session(cfg).abort.message_index == 2
+        assert calls == {"base_mult": 0, "double_base_mult": 0}
+
+    def test_a_fork_reuses_its_base_signature_verdicts(self, monkeypatch):
+        """Once the base has run to the end, a fork that completes after a
+        tolerated delay checks no signature again; it still signs sig_p and
+        sig_d itself (a nonce multiplication each)."""
+        base = ScenarioConfig(seed=67)
+        assert run_full_session(_faulted(base, FaultInjection(11, "replay"))).completed
+        calls = _count_kernel_calls(monkeypatch)
+        cfg = _faulted(base, FaultInjection(4, "delay", delay_ms=500))
+        assert run_full_session(cfg).completed
+        assert calls == {"base_mult": 2, "double_base_mult": 0}
+
+    def test_a_new_base_computes_its_shared_points_again(self):
+        """Forks of one base share its four points; the next base (a
+        checkpoint miss) builds a session, which empties the memo."""
+        sim._checkpoints.cache_clear()
+        for seed in (68, 69):
+            base = ScenarioConfig(seed=seed)
+            for fault in (FaultInjection(11, "replay"),
+                          FaultInjection(2, "tamper", offset=1),
+                          FaultInjection(7, "tamper", offset=3)):
+                run_full_session(_faulted(base, fault))
+                assert primitives._dh.cache_info().misses == 4, (seed, fault)
+        assert sim._checkpoints.cache_info().misses == 2
