@@ -15,7 +15,7 @@ authenticated decryption it attempts fails.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .actors import VARIANT_A, VARIANT_B, report_key_digest
 from .errors import AttackFailed, AuthFailure
@@ -24,6 +24,7 @@ from .messages import (
     MedicalReport,
     Transcript,
     decode_report_bundle,
+    fields_to_json,
     serialize,
 )
 from .primitives import Scalar, derive_key, sym_decrypt
@@ -79,9 +80,6 @@ class AttackReport:
     verdicts: dict = field(default_factory=dict)
     attempts: int = 0
     success: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"attack mode: {self.mode}", f"attempts: {self.attempts}"]
@@ -182,7 +180,7 @@ def insider_attack(view: InsiderView) -> AttackReport:
                 report.details[step] = str(exc)
             continue
         report.opened.append({"ciphertext": name.upper(),
-                              "reports": [r.to_dict() for r in reports]})
+                              "reports": [fields_to_json(r) for r in reports]})
         report.reveals[step] = REVEAL_RECOVERED
     recovered = bool(report.opened)
     report.verdicts["report_confidentiality"] = (

@@ -16,6 +16,7 @@ All outputs are deterministic functions of the inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -49,21 +50,11 @@ def _io_error(verb: str, exc: OSError) -> int:
 
 
 def _config_from_args(args) -> sim.ScenarioConfig:
-    if args.config is not None:
-        cfg = sim.load_config(args.config)
-    else:
-        cfg = sim.ScenarioConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-    if args.delta_t_ms is not None:
-        overrides["delta_t_ms"] = args.delta_t_ms
-    if args.tick_ms is not None:
-        overrides["tick_ms"] = args.tick_ms
+    cfg = sim.ScenarioConfig() if args.config is None else sim.load_config(args.config)
+    flags = {name: getattr(args, name)
+             for name in ("seed", "variant", "delta_t_ms", "tick_ms")}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     if overrides:
-        import dataclasses
         cfg = dataclasses.replace(cfg, **overrides)
         cfg.validate()
     return cfg
@@ -147,7 +138,7 @@ def cmd_attack(args) -> int:
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.write(sim.json_document(report.to_dict()))
+                fh.write(sim.json_document(dataclasses.asdict(report)))
         except OSError as exc:
             return _io_error("write", exc)
     return EXIT_OK if ok else EXIT_UNEXPECTED

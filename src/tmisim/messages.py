@@ -71,13 +71,11 @@ class MedicalReport:
     patient: bytes  # the subject's identity
     payload: bytes
 
+    FIELDS = (("kind", "text"), ("patient", "bytes"), ("payload", "bytes"))
+
     def __post_init__(self):
         if self.kind not in REPORT_KINDS:
             raise ValueError(f"unknown report kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "patient": self.patient.hex(),
-                "payload": self.payload.hex()}
 
     def encode(self) -> bytes:
         return bytes([_KIND_CODE[self.kind]]) + frame([self.patient, self.payload])
@@ -338,31 +336,49 @@ def make_channel_message(payload, sent_at: int) -> ChannelMessage:
     return ChannelMessage(spec.sender, spec.receiver, spec.channel, sent_at, payload)
 
 
-# ── JSON encoding of schema'd values (transcript lines, cloud rows) ────
+# ── JSON encoding of schema'd values (every file tmisim reads or writes) ──
+
+def _same(value):
+    return value
+
+
+def _timestamp(raw: int) -> int:
+    if not 0 <= raw < 1 << 64:  # 8 bytes on the wire
+        raise ValueError
+    return raw
+
+
+# kind -> (JSON type, to JSON, from JSON) for each kind whose JSON value is
+# not the hex of its bytes; no JSON value of these kinds is a bool
+_JSON_FORMS = {
+    "int": (int, _same, _same),
+    "timestamp": (int, _same, _timestamp),
+    "text": (str, _same, _same),
+    "utf8": (str, bytes.decode, str.encode),
+    "ciphertext": (dict,
+                   lambda value: {part: data.hex() for part, data in vars(value).items()},
+                   lambda raw: Ciphertext(**{part: bytes.fromhex(data)
+                                             for part, data in raw.items()})),
+}
+
 
 def _json_value(value, kind: str):
-    if kind == "timestamp":
-        return value
-    if kind == "ciphertext":
-        return {"nonce": value.nonce.hex(), "body": value.body.hex(),
-                "tag": value.tag.hex()}
+    if kind in _JSON_FORMS:
+        return _JSON_FORMS[kind][1](value)
     return _field_to_bytes(value, kind).hex()
 
 
-def _value_from_json(raw, kind: str):
+def _value_from_json(raw, kind: str, name: str):
+    """The `kind` value in the JSON value `raw`, else a MalformedMessage naming `name`."""
     try:
-        if kind == "timestamp":
-            if (not isinstance(raw, int) or isinstance(raw, bool)
-                    or not 0 <= raw < 1 << 64):  # 8 bytes on the wire
-                raise ValueError
-            return raw
-        if kind == "ciphertext":
-            return Ciphertext(nonce=bytes.fromhex(raw["nonce"]),
-                              body=bytes.fromhex(raw["body"]),
-                              tag=bytes.fromhex(raw["tag"]))
-        return _field_from_bytes(bytes.fromhex(raw), kind)
-    except (ValueError, KeyError, TypeError, AttributeError):
-        raise MalformedMessage(f"bad {kind} value") from None
+        if kind not in _JSON_FORMS:
+            return _field_from_bytes(bytes.fromhex(raw), kind)
+        json_type, _, from_json = _JSON_FORMS[kind]
+        if not isinstance(raw, json_type) or isinstance(raw, bool):
+            raise ValueError
+        return from_json(raw)
+    except (ValueError, KeyError, TypeError, AttributeError, MalformedMessage):
+        raise MalformedMessage(f"bad {kind} value for {name}") from None
 
 
 def fields_to_json(obj) -> dict:
@@ -372,51 +388,43 @@ def fields_to_json(obj) -> dict:
 
 
 def fields_from_json(cls, raw: dict) -> dict:
-    """Keyword arguments for `cls` from its JSON fields; null and absent
-    fields are left out."""
-    return {name: _value_from_json(raw[name], kind)
+    """Keyword arguments for `cls` from its JSON fields, but its null or absent ones."""
+    return {name: _value_from_json(raw[name], kind, name)
             for name, kind in cls.FIELDS if raw.get(name) is not None}
+
+
+# a transcript line's routing keys: (JSON key, ChannelMessage attribute, kind)
+_ROUTING = (("from", "sender", "text"), ("to", "receiver", "text"),
+            ("channel", "channel", "text"), ("sent_at", "sent_at", "timestamp"))
 
 
 def serialize(message: ChannelMessage) -> bytes:
     """Canonical JSON line for one channel message (no trailing newline)."""
     payload = message.payload
-    record = {
-        "from": message.sender,
-        "to": message.receiver,
-        "channel": message.channel,
-        "sent_at": message.sent_at,
-        "type": type(payload).__name__,
-        "fields": fields_to_json(payload),
-    }
+    record = {key: _json_value(getattr(message, attr), kind)
+              for key, attr, kind in _ROUTING}
+    record.update(type=type(payload).__name__, fields=fields_to_json(payload))
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
 def deserialize(data: bytes) -> ChannelMessage:
     try:
         record = json.loads(data)
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:  # a UnicodeDecodeError too
         raise MalformedMessage("transcript line is not valid JSON") from None
     if not isinstance(record, dict):
         raise MalformedMessage("transcript line is not an object")
     try:
         cls = _BY_NAME[record["type"]]
         raw_fields = record["fields"]
-        sender = record["from"]
-        receiver = record["to"]
-        channel = record["channel"]
-        sent_at = record["sent_at"]
+        routing = [_value_from_json(record[key], kind, key) for key, _, kind in _ROUTING]
     except (KeyError, TypeError):
         raise MalformedMessage("transcript line is missing required keys") from None
-    if not all(isinstance(value, str) for value in (sender, receiver, channel)):
-        raise MalformedMessage("from, to and channel must be strings")
-    if not isinstance(sent_at, int) or isinstance(sent_at, bool) or sent_at < 0:
-        raise MalformedMessage("bad sent_at")
     if (not isinstance(raw_fields, dict)
             or set(raw_fields) != {name for name, _ in cls.FIELDS}):
         raise MalformedMessage(f"field set mismatch for {cls.__name__}")
-    values = [_value_from_json(raw_fields[name], kind) for name, kind in cls.FIELDS]
-    return ChannelMessage(sender, receiver, channel, sent_at, cls(*values))
+    values = [_value_from_json(raw_fields[name], kind, name) for name, kind in cls.FIELDS]
+    return ChannelMessage(*routing, cls(*values))
 
 
 class Transcript:
@@ -445,8 +453,4 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> "Transcript":
-        messages = []
-        for line in data.splitlines():
-            if line.strip():
-                messages.append(deserialize(line))
-        return cls(messages)
+        return cls(deserialize(line) for line in data.splitlines() if line.strip())

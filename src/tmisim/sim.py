@@ -38,6 +38,7 @@ from .messages import (
     ROLE_PATIENT,
     MedicalReport,
     Transcript,
+    _json_value,
     _value_from_json,
     field_of_kind,
     fields_from_json,
@@ -390,62 +391,71 @@ def run_campaign(base: ScenarioConfig, n_seeds: int) -> CampaignStats:
 
 # ── config file round trip ──────────────────────────────────────────────
 
+# The config file as (JSON key, attribute, kind) triples. A tuple kind holds
+# the triples of a nested object, whose keys set attributes of the config
+# itself if it has no attribute, and of each fault in a list otherwise.
+# Every key may be left out, except a fault's target and action, which
+# FaultInjection requires: its TypeError names the one that is missing.
+_FAULT_KEYS = (("target", "target", "int"), ("action", "action", "text"),
+               ("offset", "offset", "int"), ("delay_ms", "delay_ms", "int"))
+_SCENARIO_KEYS = (("variant", "variant", "text"), ("delta_t_ms", "delta_t_ms", "int"),
+                  ("tick_ms", "tick_ms", "int"))  # the registry repeats these
+_CONFIG_KEYS = (
+    ("seed", "seed", "int"), *_SCENARIO_KEYS,
+    ("ids", None, (("patient", "id_p", "utf8"), ("hospital", "id_h", "utf8"),
+                   ("doctor", "id_d", "utf8"), ("nid", "nid", "utf8"))),
+    ("payloads", None, (("m_h", "payload_m_h", "bytes"),
+                        ("m_b", "payload_m_b", "bytes"))),
+    ("faults", "faults", _FAULT_KEYS),
+)
+
+
+def _keys_to_json(obj, keys) -> dict:
+    out = {}
+    for key, attr, kind in keys:
+        if attr is None:
+            out[key] = _keys_to_json(obj, kind)
+        elif isinstance(kind, tuple):
+            out[key] = [_keys_to_json(item, kind) for item in getattr(obj, attr)]
+        else:
+            out[key] = _json_value(getattr(obj, attr), kind)
+    return out
+
+
+def _keys_from_json(data, keys, path: str = "") -> dict:
+    """The attributes the JSON object `data` sets, by name. An error names
+    the key at fault, after `path`, the keys that lead to `data`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path.rstrip('.') or 'config'} must be a JSON object")
+    unknown = data.keys() - {key for key, _, _ in keys}
+    if unknown:
+        raise ValueError(f"unknown key {path}{min(unknown)}")
+    values = {}
+    for key, attr, kind in keys:
+        if key not in data:
+            continue
+        raw, where = data[key], path + key
+        if attr is None:
+            values.update(_keys_from_json(raw, kind, where + "."))
+        elif isinstance(kind, tuple):
+            if not isinstance(raw, list):
+                raise ValueError(f"{where} must be a JSON list")
+            values[attr] = tuple(
+                FaultInjection(**_keys_from_json(item, kind, f"{where}[{i}]."))
+                for i, item in enumerate(raw))
+        else:
+            values[attr] = _value_from_json(raw, kind, where)
+    return values
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "delta_t_ms": cfg.delta_t_ms,
-        "tick_ms": cfg.tick_ms,
-        "variant": cfg.variant,
-        "ids": {
-            "patient": cfg.id_p.decode("utf-8"),
-            "hospital": cfg.id_h.decode("utf-8"),
-            "doctor": cfg.id_d.decode("utf-8"),
-            "nid": cfg.nid.decode("utf-8"),
-        },
-        "payloads": {
-            "m_h": cfg.payload_m_h.hex(),
-            "m_b": cfg.payload_m_b.hex(),
-        },
-        "faults": [dataclasses.asdict(f) for f in cfg.faults],
-    }
-
-
-def _int(data: dict, name: str, default=None) -> int:
-    value = data.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
+    return _keys_to_json(cfg, _CONFIG_KEYS)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    base = ScenarioConfig()
     try:
-        ids = data.get("ids", {})
-        payloads = data.get("payloads", {})
-        faults = tuple(
-            FaultInjection(target=_int(f, "target"), action=str(f["action"]),
-                           offset=_int(f, "offset", 0),
-                           delay_ms=_int(f, "delay_ms", 0))
-            for f in data.get("faults", ())
-        )
-        cfg = ScenarioConfig(
-            seed=_int(data, "seed", base.seed),
-            delta_t_ms=_int(data, "delta_t_ms", base.delta_t_ms),
-            tick_ms=_int(data, "tick_ms", base.tick_ms),
-            variant=str(data.get("variant", base.variant)),
-            id_p=ids.get("patient", base.id_p.decode()).encode("utf-8"),
-            id_h=ids.get("hospital", base.id_h.decode()).encode("utf-8"),
-            id_d=ids.get("doctor", base.id_d.decode()).encode("utf-8"),
-            nid=ids.get("nid", base.nid.decode()).encode("utf-8"),
-            payload_m_h=bytes.fromhex(payloads["m_h"]) if "m_h" in payloads
-            else base.payload_m_h,
-            payload_m_b=bytes.fromhex(payloads["m_b"]) if "m_b" in payloads
-            else base.payload_m_b,
-            faults=faults,
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        cfg = ScenarioConfig(**_keys_from_json(data, _CONFIG_KEYS))
+    except (TypeError, ValueError, MalformedMessage) as exc:
         raise ValueError(f"bad config: {exc}") from None
     cfg.validate()
     return cfg
@@ -489,33 +499,32 @@ def record_from_dict(data: dict) -> CloudRecord:
     return record
 
 
+# a session value's tag -> (its type, its codec kind); every int the cloud
+# keeps is a timestamp, and the one map (appointments) maps bytes to bytes
+_SESSION_KINDS = {"scalar": (Scalar, "scalar"), "bytes": (bytes, "bytes"),
+                  "int": (int, "timestamp"), "map": (dict, "bytes")}
+
+
 def _session_value_json(value):
-    if isinstance(value, Scalar):
-        return {"scalar": value.to_bytes().hex()}
-    if isinstance(value, (bytes, bytearray)):
-        return {"bytes": bytes(value).hex()}
-    if isinstance(value, int):
-        return {"int": value}
-    if isinstance(value, dict):
-        return {"map": {k.hex(): v.hex() for k, v in value.items()}}
+    for tag, (cls, kind) in _SESSION_KINDS.items():
+        if isinstance(value, cls) and tag == "map":
+            return {tag: {_json_value(k, kind): _json_value(v, kind)
+                          for k, v in value.items()}}
+        if isinstance(value, cls):
+            return {tag: _json_value(value, kind)}
     raise TypeError(f"cannot export session value of type {type(value).__name__}")
 
 
-# a session value's tag -> its codec kind; every int the cloud keeps is a
-# timestamp, and the one map (appointments) maps bytes to bytes
-_SESSION_KINDS = {"scalar": "scalar", "bytes": "bytes", "int": "timestamp"}
-
-
-def _session_value_from_json(data):
-    if not isinstance(data, dict) or len(data) != 1:
-        raise ValueError("a session value has exactly one tag")
-    (tag, raw), = data.items()
-    if tag == "map":
-        return {_value_from_json(k, "bytes"): _value_from_json(v, "bytes")
-                for k, v in raw.items()}
-    if tag not in _SESSION_KINDS:
-        raise ValueError(f"unrecognised session value tag {tag!r}")
-    return _value_from_json(raw, _SESSION_KINDS[tag])
+def _session_value_from_json(data, name: str):
+    try:
+        (tag, raw), = data.items()
+        kind = _SESSION_KINDS[tag][1]
+        if tag == "map":
+            return {_value_from_json(k, kind, name): _value_from_json(v, kind, name)
+                    for k, v in raw.items()}
+    except (AttributeError, ValueError, KeyError):  # not one known tag, or not a map
+        raise ValueError(f"bad session value {name}") from None
+    return _value_from_json(raw, kind, name)
 
 
 def session_values_to_dict(values: dict) -> dict:
@@ -525,7 +534,7 @@ def session_values_to_dict(values: dict) -> dict:
 
 def session_values_from_dict(data: dict) -> dict:
     try:
-        values = {k: _session_value_from_json(v) for k, v in data["values"].items()}
+        values = {k: _session_value_from_json(v, k) for k, v in data["values"].items()}
     except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud session state: {exc}") from None
     # the values an insider reads must have the types the cloud exports
@@ -536,11 +545,10 @@ def session_values_from_dict(data: dict) -> dict:
 
 
 def cloud_db_to_jsonl(outcome: SessionOutcome) -> bytes:
-    lines = [json.dumps(record_to_dict(r), sort_keys=True, separators=(",", ":"))
-             for r in outcome.cloud_db]
-    lines.append(json.dumps(session_values_to_dict(outcome.cloud_session),
-                            sort_keys=True, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
+    lines = [*map(record_to_dict, outcome.cloud_db),
+             session_values_to_dict(outcome.cloud_session)]
+    return "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+                   for line in lines).encode()
 
 
 def cloud_db_from_jsonl(data: bytes):
@@ -566,28 +574,26 @@ def cloud_db_from_jsonl(data: bytes):
 
 
 def registry_to_dict(outcome: SessionOutcome) -> dict:
-    cfg = outcome.config
-    return {**fields_to_json(outcome.directory), "variant": cfg.variant,
-            "delta_t_ms": cfg.delta_t_ms, "tick_ms": cfg.tick_ms}
+    return {**fields_to_json(outcome.directory),
+            **_keys_to_json(outcome.config, _SCENARIO_KEYS)}
 
 
 def registry_from_dict(data: dict) -> dict:
     try:
         directory = Directory(**fields_from_json(Directory, data))
+        scenario = {attr: _value_from_json(data.get(key), kind, key)
+                    for key, attr, kind in _SCENARIO_KEYS}
         # the variant and the windows obey the rules of the config they came from
-        cfg = ScenarioConfig(variant=data["variant"], delta_t_ms=_int(data, "delta_t_ms"),
-                             tick_ms=_int(data, "tick_ms"))
-        cfg.validate()
-    except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
+        ScenarioConfig(**scenario).validate()
+    except (TypeError, ValueError, AttributeError, MalformedMessage) as exc:
         raise ValueError(f"bad registry: {exc}") from None
-    return {**vars(directory), "variant": cfg.variant, "delta_t_ms": cfg.delta_t_ms,
-            "tick_ms": cfg.tick_ms}
+    return {**vars(directory), **scenario}
 
 
 def outcome_to_dict(outcome: SessionOutcome) -> dict:
     reports = None
     if outcome.recovered_reports is not None:
-        reports = [r.to_dict() for r in outcome.recovered_reports]
+        reports = [fields_to_json(r) for r in outcome.recovered_reports]
     return {
         "seed": outcome.config.seed,
         "variant": outcome.config.variant,

@@ -4,7 +4,7 @@ import pytest
 
 from tmisim import adversary as adv
 from tmisim.errors import AttackFailed
-from tmisim.messages import ChannelMessage, PupMsg1, Transcript, serialize
+from tmisim.messages import ChannelMessage, PupMsg1, Transcript, fields_to_json, serialize
 from tmisim.sim import FaultInjection, ScenarioConfig, run_full_session
 
 
@@ -116,7 +116,7 @@ def test_reveals_and_verdict_agree_with_insider_attack(fixture, dropped, request
             continue
         result = reveal(view)
         reports = result if isinstance(result, tuple) else (result,)
-        assert [r.to_dict() for r in reports] == opened[ct_name], step
+        assert [fields_to_json(r) for r in reports] == opened[ct_name], step
     assert (adv.check_report_confidentiality(outcome)
             == report.verdicts["report_confidentiality"])
 

@@ -373,7 +373,7 @@ class TestVerify:
         lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
         assert _verify_lines(artifacts, tmp_path, lines) == 3
         err = capsys.readouterr().err
-        assert "from, to and channel must be strings" in err and "Traceback" not in err
+        assert f"bad text value for {key}\n" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line,field", [(0, "a"), (6, "r"), (9, "x")])
     def test_plain_zero_scalar_malformed(self, artifacts, tmp_path, capsys,
@@ -518,3 +518,66 @@ def test_wrong_kind_of_path_is_usage_error(argv, artifacts, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+
+class TestErrorsNameTheKey:
+    """Every reader exits 3 with one line that names the key whose value it
+    refuses (so no traceback)."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"sed": 3}, "unknown key sed"),
+        ({"faults": [{"target": 4, "action": "delay", "delay": 500}]},
+         "unknown key faults[0].delay"),
+        ({"ids": {"patient": None}}, "bad utf8 value for ids.patient"),
+    ])
+    def test_config(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+    def test_registry(self, artifacts, tmp_path, capsys):
+        registry = json.loads((artifacts / sim.REGISTRY_FILE).read_text())
+        registry["tick_ms"] = "10"
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(registry))
+        assert main(["verify", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--registry", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed input: bad registry: bad int value for tick_ms\n")
+
+    @pytest.mark.parametrize("key, value, kind", [("sig_h", 5, "signature"),
+                                                  ("sn", "00" * 32, "scalar")])
+    def test_cloud_record(self, artifacts, tmp_path, capsys, key, value, kind):
+        record = _record(artifacts)
+        record[key] = value
+        assert _insider_exit(artifacts, tmp_path, record) == 3
+        assert capsys.readouterr().err == (
+            f"error: malformed input: bad cloud record: bad {kind} value for {key}\n")
+
+    def test_session_value(self, artifacts, tmp_path, capsys):
+        record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
+        state = json.loads(state)
+        name = next(k for k, v in state["values"].items() if "int" in v)
+        state["values"][name] = {"int": -1}
+        db = tmp_path / "db.jsonl"
+        db.write_text(record + "\n" + json.dumps(state) + "\n")
+        assert main(["attack", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--db", str(db), "--mode", "insider"]) == 3
+        assert capsys.readouterr().err == ("error: malformed input: bad cloud session "
+                                           f"state: bad timestamp value for {name}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.update(sent_at=-1), "bad timestamp value for sent_at"),
+        (lambda line: line.update(channel=7), "bad text value for channel"),
+        (lambda line: line["fields"]["e1"].update(nonce="zz"),
+         "bad ciphertext value for e1"),
+    ])
+    def test_transcript_line(self, artifacts, tmp_path, capsys, edit, message):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record).encode()
+        assert _verify_lines(artifacts, tmp_path, lines) == 3
+        assert capsys.readouterr().err == f"error: malformed input: {message}\n"

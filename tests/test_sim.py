@@ -159,6 +159,50 @@ class TestCampaign:
             run_campaign(ScenarioConfig(), 0)
 
 
+# identities are any UTF-8 text: every code point but the lone surrogates
+_IDENTITIES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config: distinct UTF-8 identities, any payload bytes, and 0-3
+    faults of each action."""
+    id_p, id_h, id_d = draw(st.lists(_IDENTITIES, min_size=3, max_size=3, unique=True))
+    faults = []
+    for action, targets in ((sim.FAULT_TAMPER, st.sampled_from(_TAMPERABLE)),
+                            (sim.FAULT_DELAY, st.integers(0, sim.SESSION_MESSAGES - 1)),
+                            (sim.FAULT_REPLAY, st.integers(0, sim.SESSION_MESSAGES - 1))):
+        faults += draw(st.lists(st.builds(
+            FaultInjection, targets, st.just(action), offset=st.integers(),
+            delay_ms=st.integers(0, sim.MAX_STEP_MS - 1)), max_size=3))
+    return ScenarioConfig(
+        seed=draw(st.integers(min_value=0)),
+        delta_t_ms=draw(st.integers(1, sim.MAX_STEP_MS - 1)),
+        tick_ms=draw(st.integers(1, sim.MAX_STEP_MS - 1)),
+        variant=draw(st.sampled_from(sim.VARIANTS)),
+        id_p=id_p.encode(), id_h=id_h.encode(), id_d=id_d.encode(),
+        nid=draw(_IDENTITIES).encode(),
+        payload_m_h=draw(st.binary(max_size=16)), payload_m_b=draw(st.binary(max_size=16)),
+        faults=tuple(draw(st.permutations(faults))))
+
+
+def _key_paths(raw, parents=()):
+    """The path to each key of a JSON object, nested objects and lists included."""
+    for key, value in raw.items():
+        path = (*parents, key)
+        yield path
+        if isinstance(value, dict):
+            yield from _key_paths(value, path)
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _key_paths(item, (*path, index))
+
+
 class TestConfig:
     def test_dict_roundtrip(self):
         cfg = ScenarioConfig(seed=77, variant="B", delta_t_ms=999,
@@ -201,10 +245,64 @@ class TestConfig:
         {"tick_ms": 2**32},
         {"delta_t_ms": 2**32},
         {"faults": [{"target": 1, "action": "delay", "delay_ms": 2**32}]},
+        # a misspelt key or a faults value that is not a list, never ignored
+        {"sed": 3},
+        {"ids": {"pateint": "x"}},
+        {"faults": [{"target": 4, "action": "delay", "delay": 500}]},
+        {"faults": {}},
+        {"faults": ""},
+        # a null, never read as the default
+        {"seed": None},
+        {"faults": [{"target": 1, "action": "delay", "delay_ms": None}]},
+        {"ids": {"patient": None}},
+        {"payloads": {"m_h": None}},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             sim.config_from_dict(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"sed": 3}, "unknown key sed"),
+        ({"ids": {"pateint": "x"}}, "unknown key ids.pateint"),
+        ({"faults": [{"target": 4, "action": "delay", "delay": 500}]},
+         "unknown key faults[0].delay"),
+        ({"faults": {}}, "faults must be a JSON list"),
+        ({"faults": [7]}, "faults[0] must be a JSON object"),
+        ({"seed": None}, "bad int value for seed"),
+        ({"variant": 1}, "bad text value for variant"),
+        ({"faults": [{"target": 1, "action": "delay", "delay_ms": None}]},
+         "bad int value for faults[0].delay_ms"),
+        ({"ids": {"patient": None}}, "bad utf8 value for ids.patient"),
+        ({"payloads": {"m_h": "zz"}}, "bad bytes value for payloads.m_h"),
+        ({"faults": [{"action": "replay"}]}, "'target'"),
+    ])
+    def test_error_names_the_key(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            sim.config_from_dict(bad)
+        assert str(info.value).startswith("bad config: ")
+        assert message in str(info.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_configs())
+    def test_file_roundtrip_property(self, cfg):
+        assert sim.config_from_dict(json.loads(json.dumps(sim.config_to_dict(cfg)))) == cfg
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_value_at_any_key_reads_or_is_malformed(self, data):
+        """Any JSON value in place of one key's value gives a config that
+        round-trips or a ValueError, never another exception."""
+        raw = sim.config_to_dict(data.draw(_configs()))
+        *parents, last = data.draw(st.sampled_from(list(_key_paths(raw))))
+        holder = raw
+        for step in parents:
+            holder = holder[step]
+        holder[last] = data.draw(_JSON_VALUES)
+        try:
+            cfg = sim.config_from_dict(json.loads(json.dumps(raw)))
+        except ValueError:
+            return
+        assert sim.config_from_dict(sim.config_to_dict(cfg)) == cfg
 
 
 class TestArtifacts:
