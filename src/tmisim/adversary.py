@@ -27,7 +27,7 @@ from .messages import (
     fields_to_json,
     serialize,
 )
-from .primitives import Scalar, derive_key, sym_decrypt
+from .primitives import Scalar, SymKey, derive_key, sym_decrypt
 
 VERDICT_HOLDS = "HOLDS"
 VERDICT_VIOLATED = "VIOLATED"
@@ -110,8 +110,8 @@ def _openings(ciphertext, keys):
 
 def _insider_keys(view: InsiderView):
     """The view's database row (None if nothing was stored) and the
-    variant A and variant B report keys, where the view holds their
-    inputs. Variant A's key is also the C_H key."""
+    variant A and variant B report keys, prepared for trial decryption,
+    where the view holds their inputs. Variant A's key is also the C_H key."""
     if not view.cloud_db:
         return None, []
     record = view.cloud_db[0]
@@ -124,7 +124,7 @@ def _insider_keys(view: InsiderView):
         keys.append(("h(id_p||id_h||nid)", report_key_digest(VARIANT_A, **inputs)))
     if id_d is not None:
         keys.append(("h(id_p||id_d||sn)", report_key_digest(VARIANT_B, **inputs)))
-    return record, [(name, derive_key(digest)) for name, digest in keys]
+    return record, [(name, SymKey(derive_key(digest))) for name, digest in keys]
 
 
 # step -> (the row's ciphertext field, the number of reports it carries)
@@ -168,7 +168,7 @@ def insider_attack(view: InsiderView) -> AttackReport:
     """Run every applicable reveal and render the confidentiality verdict."""
     record, keys = _insider_keys(view)
     report = AttackReport(mode="insider", attempts=len(_REVEALS),
-                          derived_keys=[(name, key.hex()) for name, key in keys])
+                          derived_keys=[(name, key.raw.hex()) for name, key in keys])
     for step, (name, _count) in _REVEALS.items():
         try:
             reports = _reveal(record, keys, step)
@@ -231,8 +231,8 @@ def passive_eavesdrop_attempt(view: PassiveView, extra_material=()) -> AttackRep
                 candidates.append((f"{mname}[{index}].{fname}.tag", value.tag))
     for i, material in enumerate(extra_material):
         candidates.append((f"leaked[{i}]", material))
-    keys = [(name, derive_key(value)) for name, value in candidates]
-    report.derived_keys = [(name, key.hex()) for name, key in keys]
+    keys = [(name, SymKey(derive_key(value))) for name, value in candidates]
+    report.derived_keys = [(name, key.raw.hex()) for name, key in keys]
     for ct_name, ct in ciphertexts:
         report.attempts += len(keys)
         for key_name, plaintext in _openings(ct, keys):

@@ -10,6 +10,7 @@ separate length-prefixed binary layout, decoded against a fixed schema.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, NamedTuple, Optional
@@ -149,6 +150,7 @@ def _field_from_bytes(data: bytes, kind: str):
         raise MalformedMessage(f"bad {kind} field") from None
 
 
+@functools.cache  # every tamper asks for its message's ciphertext field
 def field_of_kind(cls, kind: str) -> Optional[str]:
     """The first field of `cls` with codec `kind`, or None if it has none."""
     return next((name for name, k in cls.FIELDS if k == kind), None)
@@ -387,8 +389,18 @@ def fields_to_json(obj) -> dict:
             else _json_value(value, kind) for name, kind in obj.FIELDS}
 
 
-def fields_from_json(cls, raw: dict) -> dict:
-    """Keyword arguments for `cls` from its JSON fields, but its null or absent ones."""
+def reject_unknown_keys(raw: dict, known, path: str = "") -> None:
+    """A MalformedMessage naming the first key of `raw` not in `known`,
+    after `path`, the keys that lead to `raw`."""
+    unknown = raw.keys() - known
+    if unknown:
+        raise MalformedMessage(f"unknown key {path}{min(unknown)}")
+
+
+def fields_from_json(cls, raw: dict, extra=()) -> dict:
+    """Keyword arguments for `cls` from its JSON fields, but its null or
+    absent ones. A key that is neither a field nor in `extra` is malformed."""
+    reject_unknown_keys(raw, [*(name for name, _ in cls.FIELDS), *extra])
     return {name: _value_from_json(raw[name], kind, name)
             for name, kind in cls.FIELDS if raw.get(name) is not None}
 
@@ -396,6 +408,7 @@ def fields_from_json(cls, raw: dict) -> dict:
 # a transcript line's routing keys: (JSON key, ChannelMessage attribute, kind)
 _ROUTING = (("from", "sender", "text"), ("to", "receiver", "text"),
             ("channel", "channel", "text"), ("sent_at", "sent_at", "timestamp"))
+_LINE_KEYS = frozenset([*(key for key, _, _ in _ROUTING), "type", "fields"])
 
 
 def serialize(message: ChannelMessage) -> bytes:
@@ -414,6 +427,7 @@ def deserialize(data: bytes) -> ChannelMessage:
         raise MalformedMessage("transcript line is not valid JSON") from None
     if not isinstance(record, dict):
         raise MalformedMessage("transcript line is not an object")
+    reject_unknown_keys(record, _LINE_KEYS)
     try:
         cls = _BY_NAME[record["type"]]
         raw_fields = record["fields"]

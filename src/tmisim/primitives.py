@@ -7,7 +7,8 @@ field lists can never collide by concatenation ambiguity. Symmetric
 encryption is encrypt-then-MAC (SHA-256 counter keystream, HMAC-SHA256
 tag): tampering any byte is detected, which the actors rely on to
 terminate sessions; decryption checks the tag before it derives the
-cipher key. Signatures are ECDSA with deterministic (RFC 6979)
+cipher key, and a :class:`SymKey` derives its MAC subkey once for many
+trial decryptions. Signatures are ECDSA with deterministic (RFC 6979)
 nonces so that identically seeded runs produce identical transcripts.
 
 Everything here is deterministic given its inputs plus an explicitly
@@ -264,15 +265,21 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
+def _hmac_block(key: bytes) -> bytes:
+    """An HMAC-SHA256 key as one SHA-256 block: hashed if it is longer,
+    then zero-filled; XORed with each pad, it starts one of the two hashes."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    return key.ljust(_HMAC_BLOCK, b"\x00")
+
+
 def _hmac(key: bytes, msg: bytes) -> bytes:
     """HMAC-SHA256 (RFC 2104) as two SHA-256 calls.
 
     Gives the :mod:`hmac` module's digest without its per-call set-up,
     which costs more than hashing the short inputs used here.
     """
-    if len(key) > _HMAC_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_HMAC_BLOCK, b"\x00")
+    key = _hmac_block(key)
     inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
     return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
@@ -312,6 +319,31 @@ def _subkey(key: bytes, label: bytes) -> bytes:
     return _hmac(key, label)
 
 
+class SymKey:
+    """A symmetric key prepared for many trial decryptions.
+
+    The two SHA-256 states that HMAC starts from depend on the MAC subkey
+    alone (RFC 2104, section 4), so they are computed once here and each
+    tag continues copies of them. It lives as long as its holder; nothing
+    memoises it.
+    """
+
+    __slots__ = ("raw", "_inner", "_outer")
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        block = _hmac_block(_subkey(raw, b"mac"))
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def tag(self, data: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
@@ -323,9 +355,12 @@ def sym_encrypt(key: bytes, plaintext: bytes, rng: SeededRng) -> Ciphertext:
     return Ciphertext(nonce=nonce, body=body, tag=tag)
 
 
-def sym_decrypt(key: bytes, ct: Ciphertext) -> bytes:
+def sym_decrypt(key: bytes | SymKey, ct: Ciphertext) -> bytes:
     # authenticate first: a rejected ciphertext never pays for the cipher key
-    expected = _hmac(_subkey(key, b"mac"), ct.nonce + ct.body)
+    if isinstance(key, SymKey):
+        expected, key = key.tag(ct.nonce + ct.body), key.raw
+    else:
+        expected = _hmac(_subkey(key, b"mac"), ct.nonce + ct.body)
     if not hmac.compare_digest(expected, ct.tag):
         raise AuthFailure("ciphertext failed authentication")
     return _xor(ct.body, _keystream(_subkey(key, b"enc"), ct.nonce, len(ct.body)))

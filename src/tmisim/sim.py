@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,6 +45,7 @@ from .messages import (
     fields_from_json,
     fields_to_json,
     make_channel_message,
+    reject_unknown_keys,
 )
 from .primitives import Ciphertext, KeyPair, Scalar, SeededRng
 
@@ -308,8 +310,17 @@ class _Checkpoints:
         return snapshots[min(index, len(snapshots) - 1)].fork()
 
 
-# only the most recent base is kept: a fault sweep shares one
-_checkpoints = functools.lru_cache(maxsize=1)(_Checkpoints)
+# a config's fault-free base is the config but its faults
+_BASE_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                     if f.name != "faults")
+_base_values = operator.attrgetter(*_BASE_FIELDS)
+
+
+# keyed on the base's field values, so a hit builds no config; only the
+# most recent base is kept: a fault sweep shares one
+@functools.lru_cache(maxsize=1)
+def _checkpoints(values: tuple) -> _Checkpoints:
+    return _Checkpoints(ScenarioConfig(**dict(zip(_BASE_FIELDS, values))))
 
 
 def _divergence(faults) -> int:
@@ -337,7 +348,7 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     cfg.validate()
     if not cfg.faults:
         return _Session(cfg).run()
-    base = _checkpoints(dataclasses.replace(cfg, faults=()))
+    base = _checkpoints(_base_values(cfg))
     session = base.fork(_divergence(cfg.faults))
     session.cfg = cfg  # the rest of the session runs with the faults
     return session.run()
@@ -427,9 +438,7 @@ def _keys_from_json(data, keys, path: str = "") -> dict:
     the key at fault, after `path`, the keys that lead to `data`."""
     if not isinstance(data, dict):
         raise ValueError(f"{path.rstrip('.') or 'config'} must be a JSON object")
-    unknown = data.keys() - {key for key, _, _ in keys}
-    if unknown:
-        raise ValueError(f"unknown key {path}{min(unknown)}")
+    reject_unknown_keys(data, [key for key, _, _ in keys], path)
     values = {}
     for key, attr, kind in keys:
         if key not in data:
@@ -483,7 +492,7 @@ _RECORD_PHASES = (("sig_p", "c_p"), ("sig_d", "c_d"), ("c_e",))
 
 def record_from_dict(data: dict) -> CloudRecord:
     try:
-        record = CloudRecord(**fields_from_json(CloudRecord, data))
+        record = CloudRecord(**fields_from_json(CloudRecord, data, extra=("type",)))
     except (TypeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud record: {exc}") from None
     stored = []
@@ -534,6 +543,7 @@ def session_values_to_dict(values: dict) -> dict:
 
 def session_values_from_dict(data: dict) -> dict:
     try:
+        reject_unknown_keys(data, ("type", "values"))
         values = {k: _session_value_from_json(v, k) for k, v in data["values"].items()}
     except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
         raise ValueError(f"bad cloud session state: {exc}") from None
@@ -580,7 +590,8 @@ def registry_to_dict(outcome: SessionOutcome) -> dict:
 
 def registry_from_dict(data: dict) -> dict:
     try:
-        directory = Directory(**fields_from_json(Directory, data))
+        directory = Directory(**fields_from_json(
+            Directory, data, extra=[key for key, _, _ in _SCENARIO_KEYS]))
         scenario = {attr: _value_from_json(data.get(key), kind, key)
                     for key, attr, kind in _SCENARIO_KEYS}
         # the variant and the windows obey the rules of the config they came from

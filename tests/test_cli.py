@@ -581,3 +581,47 @@ class TestErrorsNameTheKey:
         lines[1] = json.dumps(record).encode()
         assert _verify_lines(artifacts, tmp_path, lines) == 3
         assert capsys.readouterr().err == f"error: malformed input: {message}\n"
+
+
+class TestUnknownKeysRejected:
+    """Every artifact reader, like the config reader, refuses a key it does
+    not know, so a misspelt optional key cannot load as an absent one."""
+
+    def test_transcript_line(self, artifacts, tmp_path, capsys):
+        lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()
+        record = json.loads(lines[1])
+        record["fromm"] = record["from"]
+        lines[1] = json.dumps(record).encode()
+        assert _verify_lines(artifacts, tmp_path, lines) == 3
+        transcript = tmp_path / "rewritten.jsonl"
+        assert main(["attack", "--transcript", str(transcript),
+                     "--db", str(artifacts / sim.CLOUD_DB_FILE), "--mode", "insider"]) == 3
+        assert capsys.readouterr().err == 2 * "error: malformed input: unknown key fromm\n"
+
+    def test_cloud_record(self, artifacts, tmp_path, capsys):
+        record = _record(artifacts)
+        record["sig_hh"] = record["sig_h"]
+        assert _insider_exit(artifacts, tmp_path, record) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed input: bad cloud record: unknown key sig_hh\n")
+
+    def test_session_line(self, artifacts, tmp_path, capsys):
+        record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
+        state = json.loads(state)
+        state["value"] = {}
+        db = tmp_path / "db.jsonl"
+        db.write_text(record + "\n" + json.dumps(state) + "\n")
+        assert main(["attack", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--db", str(db), "--mode", "insider"]) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed input: bad cloud session state: unknown key value\n")
+
+    def test_registry(self, artifacts, tmp_path, capsys):
+        registry = json.loads((artifacts / sim.REGISTRY_FILE).read_text())
+        registry["tick"] = registry["tick_ms"]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(registry))
+        assert main(["verify", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                     "--registry", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed input: bad registry: unknown key tick\n")

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import hmac
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tmisim import adversary, sim
 from tmisim import primitives as pr
 from tmisim.errors import AuthFailure, InvalidPoint
 
@@ -183,6 +186,56 @@ class TestSymCipher:
         key = pr.derive_key(hashlib.sha256(b"k").digest())
         ct = pr.sym_encrypt(key, b"payload", _rng())
         assert pr.Ciphertext.decode(ct.encode()) == ct
+
+
+def _decrypted(decrypt, key, ct):
+    """The plaintext, or AuthFailure if the ciphertext does not authenticate."""
+    try:
+        return decrypt(key, ct)
+    except AuthFailure:
+        return AuthFailure
+
+
+class TestPreparedKey:
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.binary(min_size=1, max_size=100),
+           other=st.binary(min_size=1, max_size=100),
+           plaintext=st.binary(max_size=300),
+           flip=st.integers(min_value=0))
+    @example(key=b"k" * 65, other=b"k" * 64, plaintext=b"", flip=0)
+    def test_same_result_as_raw_key_and_reference(self, key, other, plaintext, flip):
+        ct = pr.sym_encrypt(key, plaintext, _rng(label="prepared"))
+        raw = bytearray(ct.encode())
+        raw[flip % len(raw)] ^= 0x01
+        tampered = pr.Ciphertext.decode(bytes(raw))
+        for k in (key, other):
+            prepared = pr.SymKey(k)  # reused: each tag starts from copies
+            for c in (tampered, ct, tampered, ct):
+                expected = _decrypted(_ref_sym_decrypt, k, c)
+                assert _decrypted(pr.sym_decrypt, k, c) == expected
+                assert _decrypted(pr.sym_decrypt, prepared, c) == expected
+        assert pr.sym_decrypt(pr.SymKey(key), ct) == plaintext
+
+    def test_passive_control_derives_one_mac_subkey_per_candidate(self, monkeypatch):
+        """18 candidate keys, each tried on 8 ciphertexts: the MAC subkey is
+        derived per key (18), not per trial decryption (144), and the
+        report is the one recorded when every attempt derived its own."""
+        outcome = sim.run_full_session(sim.ScenarioConfig(seed=3))
+        view = adversary.PassiveView.from_outcome(outcome)
+        labels = []
+        subkey = pr._subkey
+
+        def counted(key, label):
+            labels.append(label)
+            return subkey(key, label)
+
+        monkeypatch.setattr(pr, "_subkey", counted)
+        report = adversary.passive_eavesdrop_attempt(view)
+        assert (report.attempts, len(report.derived_keys)) == (144, 18)
+        assert labels == [b"mac"] * 18
+        assert hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True)
+                              .encode()).hexdigest() == (
+            "cd27c0c5b632293eb6fe0a4dfd443ca930c418990be1bb0e08e2cd89ef8c5adb")
 
 
 # ── group operations ────────────────────────────────────────────────────

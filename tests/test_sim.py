@@ -452,6 +452,24 @@ class TestCheckpointForks:
                 == _artifacts(_fresh(cfg), tmp_path))
         assert sim._checkpoints.cache_info().hits == 1
 
+    def test_every_field_but_the_faults_keys_the_base(self):
+        """A faulted run finds its base by the config's other fields: a
+        change to any of them is a new base, a change of fault is not."""
+        base, fault = ScenarioConfig(seed=21), FaultInjection(11, "replay")
+        sim._checkpoints.cache_clear()
+        run_full_session(_faulted(base, fault))
+        run_full_session(_faulted(base, FaultInjection(7, "tamper")))
+        assert sim._checkpoints.cache_info().misses == 1
+        changes = {"seed": 22, "delta_t_ms": 2500, "tick_ms": 11, "variant": "B",
+                   "id_p": b"p", "id_h": b"h", "id_d": b"d", "nid": b"n",
+                   "payload_m_h": b"m_h", "payload_m_b": b"m_b"}
+        assert sorted(changes) == sorted(f.name for f in dataclasses.fields(base)
+                                         if f.name != "faults")
+        for misses, (name, value) in enumerate(changes.items(), start=2):
+            cfg = _faulted(dataclasses.replace(base, **{name: value}), fault)
+            assert _serialized(run_full_session(cfg)) == _serialized(_fresh(cfg)), name
+            assert sim._checkpoints.cache_info().misses == misses, name
+
     def test_one_off_fault_runs_no_more_steps_than_fresh(self, monkeypatch):
         steps = []
         step = sim._Session.step

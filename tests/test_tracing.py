@@ -66,3 +66,20 @@ def test_registry_round_trip_records_its_point_decodes(tracing, modules):
     names = [span[0] for span in tracer.spans]
     assert names.count("primitives.point_decode") == 3
     assert names.count("backend.is_on_curve") == 3
+
+
+def test_each_passive_attempt_is_one_decryption_span_under_the_attack(tracing, modules):
+    """perfbench's adversary.passive_attempts counts the sym_decrypt spans
+    whose parent is the passive attack's span: one per attempt."""
+    adversary, sim = modules.adversary, modules.sim
+    view = adversary.PassiveView.from_outcome(sim.run_full_session(sim.ScenarioConfig(seed=3)))
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        report = adversary.passive_eavesdrop_attempt(view)
+    finally:
+        tracer.restore()
+    assert tracer.spans[0][0] == "adversary.passive_eavesdrop_attempt"
+    decrypts = [span for span in tracer.spans if span[0] == "primitives.sym_decrypt"]
+    assert len(decrypts) == report.attempts == 144
+    assert all(span[3] == 0 for span in decrypts)
