@@ -6,9 +6,9 @@ Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
 - ``base_mult`` uses a signed 6-bit fixed-base table: row ``i`` holds
   ``j * 64**i * G`` for ``j = 1..32`` in affine form, so a scalar costs
   one mixed addition per nonzero signed digit and no doublings.
-- ``scalar_mult`` and ``double_base_mult`` share one wNAF loop: width 7
-  over a table of G's odd multiples, width 5 over the odd multiples of
-  the input point, which are converted to affine with one inversion per
+- ``double_base_mult`` runs one interleaved wNAF loop: width 7 over a
+  table of G's odd multiples, width 5 over the odd multiples of the
+  input point, which are converted to affine with one inversion per
   call, so every addition is a mixed addition.
 - Inversions use ``pow(z, -1, P)``; a Montgomery batch inversion turns
   each precomputed table into affine points with one inversion.
@@ -186,7 +186,7 @@ def base_mult(k):
     return _to_affine(X, Y, Z)
 
 
-# ── Variable-base multiplication: interleaved wNAF ──────────────────────
+# ── Double-base multiplication: interleaved wNAF ────────────────────────
 
 def _wnaf_adds(k, width, odd, adds):
     """Append to adds[i] the signed table point for k's wNAF digit at bit i."""
@@ -207,11 +207,19 @@ def _wnaf_adds(k, width, odd, adds):
         k -= d
 
 
-def _mul_sum(terms):
-    """Return the sum of k*Q over (k, odd multiples of Q, width) in affine."""
+def double_base_mult(u, v, x, y):
+    """Return u*G + v*(x, y) in affine coordinates, or None at infinity.
+
+    Interleaved wNAF: one shared doubling chain, used by signature
+    verification where this saves roughly half the work.
+    """
+    u %= N
+    v %= N
+    if u == 0 and v == 0:
+        return None
     adds = [[] for _ in range(257)]
-    for k, odd, width in terms:
-        _wnaf_adds(k, width, odd, adds)
+    _wnaf_adds(u, _G_WIDTH, _g_odd_table(), adds)
+    _wnaf_adds(v, _P_WIDTH, _odd_multiples(x, y, _P_WIDTH), adds)
     X, Y, Z = _INF
     for pts in reversed(adds):
         # doubling (dbl-2001-b, a = -3); keeps Z == 0 and X == 0 at infinity
@@ -238,25 +246,3 @@ def _mul_sum(terms):
             X = X3
             Z = Z * H % P
     return _to_affine(X, Y, Z)
-
-
-def scalar_mult(k, x, y):
-    """Return k*(x, y) in affine coordinates (None for k == 0 mod N)."""
-    k %= N
-    if k == 0:
-        return None
-    return _mul_sum([(k, _odd_multiples(x, y, _P_WIDTH), _P_WIDTH)])
-
-
-def double_base_mult(u, v, x, y):
-    """Return u*G + v*(x, y) in affine coordinates, or None at infinity.
-
-    Interleaved wNAF: one shared doubling chain, used by signature
-    verification where this saves roughly half the work.
-    """
-    u %= N
-    v %= N
-    if u == 0 and v == 0:
-        return None
-    return _mul_sum([(u, _g_odd_table(), _G_WIDTH),
-                     (v, _odd_multiples(x, y, _P_WIDTH), _P_WIDTH)])

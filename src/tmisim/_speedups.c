@@ -5,10 +5,10 @@
    Jacobian coordinates with the a = -3 formulas of the Explicit-Formulas
    Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
    base_mult adds one entry per 4-bit window from a 64x15 table of
-   multiples of G; scalar_mult runs width-5 wNAF over the point's odd
-   multiples, and double_base_mult interleaves that with width-4 wNAF over
-   G on one doubling chain. Results equal those of tmisim._p256_py, so the
-   two backends are interchangeable behind tmisim.backend.
+   multiples of G; double_base_mult interleaves width-4 wNAF over G with
+   width-5 wNAF over the other point's odd multiples on one doubling
+   chain. Results equal those of tmisim._p256_py, so the two backends are
+   interchangeable behind tmisim.backend.
 
    Only the limited C API of Python 3.10 is used: integers cross it
    through int.to_bytes and int.from_bytes. */
@@ -474,36 +474,10 @@ static int odd_multiples(JPoint *odd, PyObject *x, PyObject *y)
     return 0;
 }
 
-/* acc += d * Q for a signed odd digit d, odd[] holding Q's odd multiples */
-static void add_odd(JPoint *acc, const JPoint *odd, int d)
-{
-    JPoint neg;
-    if (d > 0) {
-        jac_add(acc, acc, &odd[(d - 1) >> 1]);
-    } else if (d < 0) {
-        jac_neg(&neg, &odd[(-d - 1) >> 1]);
-        jac_add(acc, acc, &neg);
-    }
-}
-
-static PyObject *scalar_mult_limbs(const uint64_t *k, PyObject *x, PyObject *y)
-{
-    JPoint odd[8], acc;
-    int digits[MAX_DIGITS], i;
-    if (odd_multiples(odd, x, y) < 0)
-        return NULL;
-    jp_set_inf(&acc);
-    for (i = wnaf(digits, k, 5) - 1; i >= 0; i--) {
-        jac_dbl(&acc, &acc);
-        add_odd(&acc, odd, digits[i]);
-    }
-    return jp_to_affine(&acc);
-}
-
 static PyObject *double_base_mult_limbs(const uint64_t *u, const uint64_t *v,
                                         PyObject *x, PyObject *y)
 {
-    JPoint odd[8], acc;
+    JPoint odd[8], acc, neg;
     APoint nega;
     uint64_t zero[4] = {0};
     int du[MAX_DIGITS] = {0}, dv[MAX_DIGITS] = {0}, lu, lv, i, d;
@@ -522,7 +496,13 @@ static PyObject *double_base_mult_limbs(const uint64_t *u, const uint64_t *v,
             fe_sub(nega.y, zero, G_WINDOW[-d - 1].y);
             jac_add_affine(&acc, &acc, &nega);
         }
-        add_odd(&acc, odd, dv[i]);
+        d = dv[i];
+        if (d > 0) {
+            jac_add(&acc, &acc, &odd[(d - 1) >> 1]);
+        } else if (d < 0) {
+            jac_neg(&neg, &odd[(-d - 1) >> 1]);
+            jac_add(&acc, &acc, &neg);
+        }
     }
     return jp_to_affine(&acc);
 }
@@ -584,21 +564,6 @@ static PyObject *py_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
     return base_mult_limbs(kl);
 }
 
-static PyObject *py_scalar_mult(PyObject *Py_UNUSED(self), PyObject *args,
-                                PyObject *kwargs)
-{
-    static char *kwlist[] = {"k", "x", "y", NULL};
-    PyObject *k, *x, *y;
-    uint64_t kl[4];
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:scalar_mult", kwlist,
-                                     &k, &x, &y)
-        || limbs_mod(kl, k, N_INT) < 0)
-        return NULL;
-    if (fe_is_zero(kl))
-        Py_RETURN_NONE;
-    return scalar_mult_limbs(kl, x, y);
-}
-
 static PyObject *py_double_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
                                      PyObject *kwargs)
 {
@@ -610,13 +575,8 @@ static PyObject *py_double_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
         || limbs_mod(ul, u, N_INT) < 0
         || limbs_mod(vl, v, N_INT) < 0)
         return NULL;
-    if (fe_is_zero(ul)) {
-        if (fe_is_zero(vl))
-            Py_RETURN_NONE;
-        return scalar_mult_limbs(vl, x, y);
-    }
-    if (fe_is_zero(vl))
-        return base_mult_limbs(ul);
+    if (fe_is_zero(ul) && fe_is_zero(vl))
+        Py_RETURN_NONE;
     return double_base_mult_limbs(ul, vl, x, y);
 }
 
@@ -628,8 +588,6 @@ static PyMethodDef methods[] = {
     KW_METHOD(is_on_curve, "is_on_curve(x, y) -> bool"),
     KW_METHOD(base_mult,
               "Return k*G in affine coordinates (None for k == 0 mod N)."),
-    KW_METHOD(scalar_mult,
-              "Return k*(x, y) in affine coordinates (None for k == 0 mod N)."),
     KW_METHOD(double_base_mult,
               "Return u*G + v*(x, y) in affine coordinates, or None at "
               "infinity."),

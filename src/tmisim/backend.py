@@ -8,11 +8,11 @@ benchmark and the parity tests rely on this, and on :func:`use`).
 Both backends expose the same module-level API:
 
     base_mult(k)                  -> (x, y) | None
-    scalar_mult(k, x, y)          -> (x, y) | None
     double_base_mult(u, v, x, y)  -> (x, y) | None
     is_on_curve(x, y)             -> bool
 
-plus the curve constants ``P``, ``N``, ``B``, ``GX``, ``GY``.
+plus the curve constants ``P``, ``N``, ``B``, ``GX``, ``GY``. The
+variable-base :func:`scalar_mult` is ``double_base_mult`` with ``u = 0``.
 """
 
 import os
@@ -63,7 +63,7 @@ def base_mult(k):
 
 
 def scalar_mult(k, x, y):
-    return _active.scalar_mult(k, x, y)
+    return _active.double_base_mult(0, k, x, y)
 
 
 def double_base_mult(u, v, x, y):

@@ -68,8 +68,9 @@ class FaultInjection:
 
     tamper: XOR one byte (at `offset`) of the target's ciphertext field.
     delay:  advance the clock by `delay_ms` extra before delivery.
-    replay: after the session, re-deliver the target to its receiver
-            once its timestamp has gone stale.
+    replay: after the session, if the target is a message the session
+            sent, re-deliver it to its receiver once its timestamp has
+            gone stale.
     """
 
     target: int
@@ -275,8 +276,9 @@ class _Session:
 
     def _run_replays(self):
         replays = [f for f in self.cfg.faults if f.action == FAULT_REPLAY]
+        sent = len(self.transcript)  # the replayed copies go after these
         for fault in sorted(replays, key=lambda f: f.target):
-            if fault.target >= len(self.transcript):
+            if fault.target >= sent:
                 continue  # session aborted before the target was sent
             original = self.transcript[fault.target]
             stale_at = original.sent_at + self.cfg.delta_t_ms + 1

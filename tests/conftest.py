@@ -24,16 +24,19 @@ def pytest_report_header(config):
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The C kernel, built by setup.py into a temporary directory and
-    loaded from there, so nothing is written under src/."""
+    loaded from there, so nothing is written under src/. Compiler warnings
+    fail the build, so an unused static function fails the session."""
     cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC")
                      or "cc")[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler: {cc} not found")
     out = tmp_path_factory.mktemp("kernel")
+    cflags = f"{os.environ.get('CFLAGS', '')} -Wall -Wextra -Werror".strip()
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "CFLAGS": cflags})
     built = glob.glob(str(out / "tmisim" / "_speedups*.so"))
     if not built:
         pytest.fail(f"{cc} is present but the C kernel did not build:\n"

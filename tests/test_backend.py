@@ -67,6 +67,11 @@ GOLDEN_BASE = {
 }
 
 
+# what each kernel exports: the protocol runs only these three operations
+KERNEL_API = {"B", "BACKEND", "GX", "GY", "N", "P",
+              "base_mult", "double_base_mult", "is_on_curve"}
+
+
 @pytest.fixture(scope="session", params=["pure", "compiled"])
 def impl(request):
     if request.param == "pure":
@@ -75,6 +80,9 @@ def impl(request):
 
 
 class TestBackend:
+    def test_public_names(self, impl):
+        assert {name for name in vars(impl) if not name.startswith("_")} == KERNEL_API
+
     def test_golden_base_multiples(self, impl):
         for k, expected in GOLDEN_BASE.items():
             assert impl.base_mult(k) == expected
@@ -87,11 +95,12 @@ class TestBackend:
             assert impl.base_mult(k) == _affine_mul(k, (GX, GY)), hex(k)
 
     def test_scalar_mult_matches_oracle(self, impl):
+        # k*Q is double_base_mult with u = 0 on both kernels
         rng = random.Random(2)
         for _ in range(15):
             k = rng.randrange(1, N)
             q = impl.base_mult(rng.randrange(1, N))
-            assert impl.scalar_mult(k, q[0], q[1]) == _affine_mul(k, q)
+            assert impl.double_base_mult(0, k, q[0], q[1]) == _affine_mul(k, q)
 
     def test_double_base_mult_matches_oracle(self, impl):
         rng = random.Random(3)
@@ -135,7 +144,7 @@ class TestBackend:
     def test_infinity_cases(self, impl):
         assert impl.base_mult(0) is None
         assert impl.base_mult(N) is None
-        assert impl.scalar_mult(N, GX, GY) is None
+        assert impl.double_base_mult(0, N, GX, GY) is None
         # u*G + (N-u)*G folds to infinity
         assert impl.double_base_mult(5, N - 5, GX, GY) is None
 
@@ -155,13 +164,12 @@ class TestBackend:
         for s in (-1, -k, k - 2**300, 2**256, 2**256 + k, 2**300 + k,
                   2 * N, 5 * N, 3 * N + k):
             assert impl.base_mult(s) == _affine_mul(s % N, (GX, GY)), s
-            assert impl.scalar_mult(s, q[0], q[1]) == _affine_mul(s % N, q), s
+            assert impl.double_base_mult(0, s, q[0], q[1]) == _affine_mul(s % N, q), s
         u, v = -k, 2**256 + k
         expected = _affine_add(_affine_mul(u % N, (GX, GY)),
                                _affine_mul(v % N, q))
         assert impl.double_base_mult(u, v, q[0], q[1]) == expected
         big = (q[0] + P, q[1] + 2 * P)
-        assert impl.scalar_mult(k, *big) == _affine_mul(k, q)
         assert impl.double_base_mult(u, v, *big) == expected
         assert impl.double_base_mult(0, k, *big) == _affine_mul(k, q)
         for x, y in ((-1, GY), (GX, -GY), (P, 0), (GX + P, GY), (GX, GY + P),
@@ -171,7 +179,7 @@ class TestBackend:
             with pytest.raises(TypeError):
                 impl.base_mult(bad)
             with pytest.raises(TypeError):
-                impl.scalar_mult(bad, q[0], q[1])
+                impl.double_base_mult(0, bad, q[0], q[1])
             with pytest.raises(TypeError):
                 impl.double_base_mult(bad, k, q[0], q[1])
             with pytest.raises(TypeError):
@@ -186,7 +194,8 @@ def test_backend_parity(compiled_kernel):
         assert compiled.base_mult(k) == pure.base_mult(k)
         q = pure.base_mult(k)
         k2 = rng.randrange(1, N)
-        assert compiled.scalar_mult(k2, q[0], q[1]) == pure.scalar_mult(k2, q[0], q[1])
+        assert (compiled.double_base_mult(0, k2, q[0], q[1])
+                == pure.double_base_mult(0, k2, q[0], q[1]))
         u, v = rng.randrange(1, N), rng.randrange(1, N)
         assert (compiled.double_base_mult(u, v, q[0], q[1])
                 == pure.double_base_mult(u, v, q[0], q[1]))

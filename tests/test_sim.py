@@ -120,6 +120,20 @@ class TestFaults:
         assert out.replay_rejections == [(target, "StaleTimestamp")]
         assert len(out.transcript) == 13  # the replayed copy is on the wire
 
+    def test_replays_after_abort_deliver_only_sent_messages(self):
+        # the session aborts at message 4, so targets 5 and 6 were never
+        # sent; only target 2 is re-delivered
+        cfg = ScenarioConfig(seed=3, faults=(
+            FaultInjection(target=4, action="tamper", offset=1),
+            FaultInjection(target=2, action="replay"),
+            FaultInjection(target=5, action="replay"),
+            FaultInjection(target=6, action="replay")))
+        out = run_full_session(cfg)
+        assert out.abort.message_index == 4
+        assert out.replay_rejections == [(2, "StaleTimestamp")]
+        assert len(out.transcript) == 6
+        assert out.transcript[5].payload == out.transcript[2].payload
+
     def test_replay_does_not_mutate_cloud(self):
         cfg = ScenarioConfig(seed=5, faults=(
             FaultInjection(target=2, action="replay"),))
