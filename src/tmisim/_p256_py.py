@@ -24,6 +24,8 @@ stands for the point at infinity (callers in this package never feed
 scalars that produce it, but the edge case is handled).
 """
 
+from functools import cache as _cache  # private: the kernel API is its public names
+
 BACKEND = "pure"
 
 P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -125,30 +127,22 @@ def _odd_multiples(x, y, width):
 
 # ── Lazily built generator tables ───────────────────────────────────────
 
-_comb = None
-_g_odd = None
-
-
+@_cache
 def _comb_table():
-    global _comb
-    if _comb is None:
-        rows = []
-        bx, by = GX, GY
-        for _ in range(_COMB_ROWS):
-            row = _progression(bx, by, bx, by, 32)
-            # the next row's base, 64 * base, rides along in the inversion
-            row = _batch_to_affine(row + [_dbl(*row[-1])])
-            bx, by = row.pop()
-            rows.append(row)
-        _comb = rows
-    return _comb
+    rows = []
+    bx, by = GX, GY
+    for _ in range(_COMB_ROWS):
+        row = _progression(bx, by, bx, by, 32)
+        # the next row's base, 64 * base, rides along in the inversion
+        row = _batch_to_affine(row + [_dbl(*row[-1])])
+        bx, by = row.pop()
+        rows.append(row)
+    return rows
 
 
+@_cache
 def _g_odd_table():
-    global _g_odd
-    if _g_odd is None:
-        _g_odd = _odd_multiples(GX, GY, _G_WIDTH)
-    return _g_odd
+    return _odd_multiples(GX, GY, _G_WIDTH)
 
 
 # ── Fixed-base multiplication ───────────────────────────────────────────

@@ -24,8 +24,7 @@ import sys
 
 from . import adversary, sim
 from .adversary import REVEAL_FAILED, InsiderView, PassiveView
-from .errors import MalformedMessage
-from .messages import Transcript
+from .messages import Transcript, parse_json
 from .verifier import verify_transcript
 
 EXIT_OK = 0
@@ -50,7 +49,8 @@ def _io_error(verb: str, exc: OSError) -> int:
 
 
 def _config_from_args(args) -> sim.ScenarioConfig:
-    cfg = sim.ScenarioConfig() if args.config is None else sim.load_config(args.config)
+    cfg = (sim.ScenarioConfig() if args.config is None
+           else sim.config_from_dict(parse_json(_read_bytes(args.config), "config")))
     flags = {name: getattr(args, name)
              for name in ("seed", "variant", "delta_t_ms", "tick_ms")}
     overrides = {name: value for name, value in flags.items() if value is not None}
@@ -131,7 +131,7 @@ def cmd_attack(args) -> int:
             view = PassiveView.from_transcript(transcript)
             report = adversary.passive_eavesdrop_attempt(view)
             ok = not report.opened
-    except (MalformedMessage, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     sys.stdout.write(report.to_text())
@@ -162,8 +162,8 @@ def cmd_verify(args) -> int:
         transcript = Transcript.from_jsonl(raw_transcript)
         registry = None
         if raw_registry is not None:
-            registry = sim.registry_from_dict(json.loads(raw_registry))
-    except (MalformedMessage, ValueError) as exc:
+            registry = sim.registry_from_dict(parse_json(raw_registry, "registry"))
+    except ValueError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     results = verify_transcript(transcript, registry,

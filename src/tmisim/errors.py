@@ -22,8 +22,9 @@ class StaleTimestamp(ProtocolError):
     """A message timestamp fell outside the freshness window."""
 
 
-class MalformedMessage(ProtocolError):
-    """Bytes could not be parsed back into a message or record."""
+class MalformedMessage(ProtocolError, ValueError):
+    """Bytes could not be parsed back into a message or record. Also a
+    ValueError, so malformed input of any kind is caught as one type."""
 
 
 class DigestMismatch(ProtocolError):

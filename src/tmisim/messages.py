@@ -379,7 +379,7 @@ def _value_from_json(raw, kind: str, name: str):
         if not isinstance(raw, json_type) or isinstance(raw, bool):
             raise ValueError
         return from_json(raw)
-    except (ValueError, KeyError, TypeError, AttributeError, MalformedMessage):
+    except (ValueError, KeyError, TypeError, AttributeError):
         raise MalformedMessage(f"bad {kind} value for {name}") from None
 
 
@@ -411,6 +411,19 @@ _ROUTING = (("from", "sender", "text"), ("to", "receiver", "text"),
 _LINE_KEYS = frozenset([*(key for key, _, _ in _ROUTING), "type", "fields"])
 
 
+def parse_json(data, what: str):
+    """The JSON value in `data`, else a MalformedMessage naming `what`: the
+    one reader of JSON text, for every file tmisim reads. Input nested too
+    deeply to decode is malformed too (RFC 8259 section 9 lets a parser
+    limit nesting)."""
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise MalformedMessage(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedMessage(f"{what} is nested too deeply") from None
+
+
 def serialize(message: ChannelMessage) -> bytes:
     """Canonical JSON line for one channel message (no trailing newline)."""
     payload = message.payload
@@ -421,10 +434,7 @@ def serialize(message: ChannelMessage) -> bytes:
 
 
 def deserialize(data: bytes) -> ChannelMessage:
-    try:
-        record = json.loads(data)
-    except ValueError:  # a UnicodeDecodeError too
-        raise MalformedMessage("transcript line is not valid JSON") from None
+    record = parse_json(data, "transcript line")
     if not isinstance(record, dict):
         raise MalformedMessage("transcript line is not an object")
     reject_unknown_keys(record, _LINE_KEYS)
@@ -441,29 +451,16 @@ def deserialize(data: bytes) -> ChannelMessage:
     return ChannelMessage(*routing, cls(*values))
 
 
-class Transcript:
-    """Append-only record of every transmission in a session."""
+class Transcript(list):
+    """Every transmission of a session, in order: a list of ChannelMessages."""
 
-    def __init__(self, messages=()):
-        self._messages = list(messages)
-
-    def append(self, message: ChannelMessage) -> None:
-        self._messages.append(message)
-
-    def __len__(self):
-        return len(self._messages)
-
-    def __iter__(self):
-        return iter(self._messages)
-
-    def __getitem__(self, index):
-        return self._messages[index]
+    __slots__ = ()
 
     def public_messages(self):
-        return [m for m in self._messages if m.channel == CHANNEL_PUBLIC]
+        return [m for m in self if m.channel == CHANNEL_PUBLIC]
 
     def to_jsonl(self) -> bytes:
-        return b"".join(serialize(m) + b"\n" for m in self._messages)
+        return b"".join(serialize(m) + b"\n" for m in self)
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> "Transcript":

@@ -14,6 +14,9 @@ Artifact layout written by :func:`write_artifacts`:
     cloud_db.jsonl     cloud records plus the cloud's session values
     registry.json      public out-of-band material (ids, public keys)
     outcome.json       completion/abort summary, session keys, reports
+
+The readers take bytes or parsed JSON, never a path: this module opens
+no file for reading, and :func:`messages.parse_json` is its JSON parser.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 
 from . import primitives
 from .actors import Cloud, CloudRecord, Directory, Doctor, Hospital, Patient, VARIANTS
-from .errors import MalformedMessage, ProtocolError
+from .errors import ProtocolError
 from .messages import (
     DEFAULT_DELTA_T_MS,
     MESSAGE_SPEC,
@@ -45,6 +48,7 @@ from .messages import (
     fields_from_json,
     fields_to_json,
     make_channel_message,
+    parse_json,
     reject_unknown_keys,
 )
 from .primitives import Ciphertext, KeyPair, Scalar, SeededRng
@@ -193,7 +197,6 @@ class _Session:
                            rng=master.fork("rng/C"), **common)
         self.now = 0
         self.transcript = Transcript()
-        self.replay_rejections = []
         self.abort: Optional[AbortInfo] = None
         self._phase = self._step = ""
         self._pending = None  # what the next step sends, unless a phase starts there
@@ -205,9 +208,9 @@ class _Session:
     def fork(self) -> "_Session":
         """A copy that runs on independently of this session. It copies what a
         step changes in place: the session, its actors and their random
-        streams, the cloud's db, the transcript and the replay results. The
-        rest (messages, points, scalars, keys, rows, config, directory) is
-        immutable, so the copy shares it."""
+        streams, the cloud's db and the transcript. The rest (messages,
+        points, scalars, keys, rows, config, directory) is immutable, so the
+        copy shares it."""
         twin = _shallow_copy(self)
         for name in _ACTOR.values():
             actor = _shallow_copy(getattr(self, name))
@@ -215,7 +218,6 @@ class _Session:
             setattr(twin, name, actor)
         twin.cloud.db = dict(self.cloud.db)
         twin.transcript = Transcript(self.transcript)
-        twin.replay_rejections = list(self.replay_rejections)
         return twin
 
     # one transmission: record what goes on the wire (post-fault), then
@@ -256,7 +258,7 @@ class _Session:
     def run(self) -> SessionOutcome:
         while not self.finished:
             self.step()
-        self._run_replays()
+        replay_rejections = self._run_replays()
         keys = {
             "sk_hc": self.hospital.sk_hc, "sk_ch": self.cloud.sk_ch,
             "sk_pc": self.patient.sk_pc, "sk_cp": self.cloud.sk_cp,
@@ -270,11 +272,13 @@ class _Session:
             cloud_session=self.cloud.session_values(),
             session_keys=keys,
             recovered_reports=self.patient.recovered,
-            replay_rejections=self.replay_rejections,
+            replay_rejections=replay_rejections,
             abort=self.abort,
         )
 
-    def _run_replays(self):
+    def _run_replays(self) -> list:
+        """Each replay fault's (target, error name or None), in target order."""
+        rejections = []
         replays = [f for f in self.cfg.faults if f.action == FAULT_REPLAY]
         sent = len(self.transcript)  # the replayed copies go after these
         for fault in sorted(replays, key=lambda f: f.target):
@@ -288,9 +292,10 @@ class _Session:
             try:
                 self._receive(original.payload)
             except ProtocolError as exc:
-                self.replay_rejections.append((fault.target, type(exc).__name__))
+                rejections.append((fault.target, type(exc).__name__))
             else:
-                self.replay_rejections.append((fault.target, None))
+                rejections.append((fault.target, None))
+        return rejections
 
 
 class _Checkpoints:
@@ -466,19 +471,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 def config_from_dict(data: dict) -> ScenarioConfig:
     try:
         cfg = ScenarioConfig(**_keys_from_json(data, _CONFIG_KEYS))
-    except (TypeError, ValueError, MalformedMessage) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad config: {exc}") from None
     cfg.validate()
     return cfg
-
-
-def load_config(path: str) -> ScenarioConfig:
-    with open(path, "rb") as fh:
-        try:
-            data = json.loads(fh.read())
-        except ValueError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(data)
 
 
 # ── artifact (de)serialization ──────────────────────────────────────────
@@ -495,7 +491,7 @@ _RECORD_PHASES = (("sig_p", "c_p"), ("sig_d", "c_d"), ("c_e",))
 def record_from_dict(data: dict) -> CloudRecord:
     try:
         record = CloudRecord(**fields_from_json(CloudRecord, data, extra=("type",)))
-    except (TypeError, MalformedMessage) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad cloud record: {exc}") from None
     stored = []
     for names in _RECORD_PHASES:
@@ -530,12 +526,13 @@ def _session_value_from_json(data, name: str):
     try:
         (tag, raw), = data.items()
         kind = _SESSION_KINDS[tag][1]
-        if tag == "map":
-            return {_value_from_json(k, kind, name): _value_from_json(v, kind, name)
-                    for k, v in raw.items()}
+        pairs = raw.items() if tag == "map" else None
     except (AttributeError, ValueError, KeyError):  # not one known tag, or not a map
         raise ValueError(f"bad session value {name}") from None
-    return _value_from_json(raw, kind, name)
+    if pairs is None:
+        return _value_from_json(raw, kind, name)
+    return {_value_from_json(k, kind, name): _value_from_json(v, kind, name)
+            for k, v in pairs}
 
 
 def session_values_to_dict(values: dict) -> dict:
@@ -547,7 +544,7 @@ def session_values_from_dict(data: dict) -> dict:
     try:
         reject_unknown_keys(data, ("type", "values"))
         values = {k: _session_value_from_json(v, k) for k, v in data["values"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError, MalformedMessage) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"bad cloud session state: {exc}") from None
     # the values an insider reads must have the types the cloud exports
     if (not isinstance(values.get("id_h", b""), bytes)
@@ -569,10 +566,7 @@ def cloud_db_from_jsonl(data: bytes):
     for line in data.splitlines():
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"bad db line: {exc}") from None
+        obj = parse_json(line, "cloud db line")
         kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "cloud_record":
             records.append(record_from_dict(obj))
@@ -598,7 +592,7 @@ def registry_from_dict(data: dict) -> dict:
                     for key, attr, kind in _SCENARIO_KEYS}
         # the variant and the windows obey the rules of the config they came from
         ScenarioConfig(**scenario).validate()
-    except (TypeError, ValueError, AttributeError, MalformedMessage) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"bad registry: {exc}") from None
     return {**vars(directory), **scenario}
 

@@ -8,7 +8,8 @@ import pytest
 from tmisim import sim
 from tmisim.backend import B, P
 from tmisim.cli import _build_parser, main
-from tmisim.messages import E7Body, deserialize, serialize
+from tmisim.errors import MalformedMessage
+from tmisim.messages import E7Body, deserialize, parse_json, serialize
 from tmisim.primitives import Scalar, SeededRng, derive_key, sym_decrypt, sym_encrypt
 
 
@@ -521,6 +522,40 @@ def test_wrong_kind_of_path_is_usage_error(argv, artifacts, tmp_path, capsys):
 
 
 
+# an array nested deeper than the JSON parser decodes; RFC 8259 section 9
+# lets a parser limit nesting, so such input is malformed
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, what", [
+    ("verify --transcript {deep}", "transcript line"),
+    ("verify --transcript {transcript} --registry {deep}", "registry"),
+    ("attack --mode insider --transcript {transcript} --db {deep}", "cloud db line"),
+    ("attack --mode passive --transcript {deep}", "transcript line"),
+    ("simulate --config {deep} --out {out}", "config"),
+])
+def test_deeply_nested_input_is_malformed(argv, what, artifacts, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code = main(argv.format(deep=deep, out=tmp_path / "o",
+                            transcript=artifacts / sim.TRANSCRIPT_FILE).split())
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.endswith(f" {what} is nested too deeply\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"{not json", "config is not valid JSON: "),
+    (b"\xff", "config is not valid JSON: "),
+    (DEEP_JSON, "config is nested too deeply"),
+], ids=["invalid", "not_utf8", "too_deep"])
+def test_parse_json_raises_one_malformed_input_type(data, message):
+    with pytest.raises(MalformedMessage, match=f"^{message}") as info:
+        parse_json(data, "config")
+    assert isinstance(info.value, ValueError)
+
+
 class TestErrorsNameTheKey:
     """Every reader exits 3 with one line that names the key whose value it
     refuses (so no traceback)."""
@@ -558,15 +593,19 @@ class TestErrorsNameTheKey:
 
     def test_session_value(self, artifacts, tmp_path, capsys):
         record, state = (artifacts / sim.CLOUD_DB_FILE).read_text().splitlines()
-        state = json.loads(state)
-        name = next(k for k, v in state["values"].items() if "int" in v)
-        state["values"][name] = {"int": -1}
+        values = json.loads(state)["values"]
+        name = next(k for k, v in values.items() if "int" in v)
         db = tmp_path / "db.jsonl"
-        db.write_text(record + "\n" + json.dumps(state) + "\n")
-        assert main(["attack", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
-                     "--db", str(db), "--mode", "insider"]) == 3
-        assert capsys.readouterr().err == ("error: malformed input: bad cloud session "
-                                           f"state: bad timestamp value for {name}\n")
+        # a bad key or value inside the appointments map is named like any other
+        for changed, message in (({name: {"int": -1}}, f"bad timestamp value for {name}"),
+                                 ({"appointments": {"map": {"zz": "00"}}},
+                                  "bad bytes value for appointments")):
+            db.write_text(record + "\n" + json.dumps({"type": "cloud_session_state",
+                                                       "values": {**values, **changed}}))
+            assert main(["attack", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                         "--db", str(db), "--mode", "insider"]) == 3
+            assert capsys.readouterr().err == ("error: malformed input: bad cloud session "
+                                               f"state: {message}\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda line: line.update(sent_at=-1), "bad timestamp value for sent_at"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tmisim import backend, primitives, sim, verifier
 from tmisim.messages import (CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript,
-                             _Struct, fields_to_json)
+                             _Struct, fields_to_json, parse_json)
 from tmisim.primitives import GroupPoint, Scalar
 from tmisim.sim import FaultInjection, ScenarioConfig, run_campaign, run_full_session
 
@@ -228,7 +228,7 @@ class TestConfig:
         cfg = ScenarioConfig(seed=12)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(sim.config_to_dict(cfg)))
-        assert sim.load_config(str(path)) == cfg
+        assert sim.config_from_dict(parse_json(path.read_bytes(), "config")) == cfg
 
     def test_defaults_fill_in(self):
         cfg = sim.config_from_dict({"seed": 3})
