@@ -100,8 +100,7 @@ def cmd_campaign(args) -> int:
         path = os.path.join(args.out, "campaign.json")
         try:
             os.makedirs(args.out, exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(sim.json_document(summary))
+            sim.write_file(path, sim.json_document(summary))
         except OSError as exc:
             return _io_error("write", exc)
         print(f"summary written to {path}")
@@ -137,8 +136,7 @@ def cmd_attack(args) -> int:
     sys.stdout.write(report.to_text())
     if args.out:
         try:
-            with open(args.out, "wb") as fh:
-                fh.write(sim.json_document(dataclasses.asdict(report)))
+            sim.write_file(args.out, sim.json_document(dataclasses.asdict(report)))
         except OSError as exc:
             return _io_error("write", exc)
     return EXIT_OK if ok else EXIT_UNEXPECTED

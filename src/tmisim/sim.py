@@ -17,6 +17,7 @@ Artifact layout written by :func:`write_artifacts`:
 
 The readers take bytes or parsed JSON, never a path: this module opens
 no file for reading, and :func:`messages.parse_json` is its JSON parser.
+Every file tmisim writes goes through :func:`write_file`.
 """
 
 from __future__ import annotations
@@ -626,11 +627,25 @@ def json_document(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
+def write_file(path: str, data: bytes) -> None:
+    """Make `data` the whole content of the file at `path`.
+
+    An existing file is overwritten in place and then cut to the new
+    length, never truncated to zero first: on ext4, truncating a
+    non-empty file to zero costs several times the write itself. As with
+    a plain ``"wb"`` open, an existing file keeps its inode, mode and
+    links, a new one gets mode ``0o666 & ~umask``, and a symlink is
+    written through. Neither way is atomic.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def write_artifacts(outcome: SessionOutcome, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     for name, data in ((TRANSCRIPT_FILE, outcome.transcript.to_jsonl()),
                        (CLOUD_DB_FILE, cloud_db_to_jsonl(outcome)),
                        (REGISTRY_FILE, json_document(registry_to_dict(outcome))),
                        (OUTCOME_FILE, json_document(outcome_to_dict(outcome)))):
-        with open(os.path.join(outdir, name), "wb") as fh:
-            fh.write(data)
+        write_file(os.path.join(outdir, name), data)

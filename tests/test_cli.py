@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -494,6 +496,105 @@ class TestCachedParser:
                      "--mode", "passive"]) == 0
 
 
+def _files(directory) -> dict:
+    """Every file in `directory`, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestOverwrite:
+    """Writing over existing files leaves the bytes of a fresh write, and
+    keeps what open(..., "wb") keeps of an existing file."""
+
+    @staticmethod
+    def _tamper(tmp_path, target):
+        """Flags for seed 3 with a tamper at message `target`."""
+        cfg = tmp_path / f"tamper_{target}.json"
+        cfg.write_text(json.dumps({
+            "seed": 3, "faults": [{"target": target, "action": "tamper"}]}))
+        return ["--config", str(cfg)]
+
+    def test_simulate_over_another_outcome(self, tmp_path):
+        runs = {"completed": (["--seed", "3"], 0),
+                "aborted": (self._tamper(tmp_path, 7), 1)}
+        fresh = {}
+        for name, (flags, code) in runs.items():
+            assert main(["simulate", *flags, "--out", str(tmp_path / name)]) == code
+            fresh[name] = _files(tmp_path / name)
+        assert len(fresh["aborted"][sim.TRANSCRIPT_FILE]) < len(
+            fresh["completed"][sim.TRANSCRIPT_FILE])
+        shared = tmp_path / "shared"
+        for name in ("completed", "aborted", "completed"):
+            flags, code = runs[name]
+            assert main(["simulate", *flags, "--out", str(shared)]) == code
+            assert _files(shared) == fresh[name], name
+
+    def test_attack_reports_to_one_path(self, artifacts, tmp_path):
+        argv = ["attack", "--transcript", str(artifacts / sim.TRANSCRIPT_FILE),
+                "--db", str(artifacts / sim.CLOUD_DB_FILE), "--mode"]
+        fresh = {}
+        for mode in ("insider", "passive"):
+            assert main([*argv, mode, "--out", str(tmp_path / mode)]) == 0
+            fresh[mode] = (tmp_path / mode).read_bytes()
+        assert len(fresh["passive"]) != len(fresh["insider"])
+        shared = tmp_path / "report.json"
+        for mode in ("insider", "passive", "insider"):
+            assert main([*argv, mode, "--out", str(shared)]) == 0
+            assert shared.read_bytes() == fresh[mode], mode
+
+    def test_campaign_summaries_to_one_directory(self, tmp_path):
+        tamper_1 = self._tamper(tmp_path, 1)  # every session aborts early
+        fresh = {}
+        for seeds in ("10", "1"):
+            assert main(["campaign", *tamper_1, "--seeds", seeds,
+                         "--out", str(tmp_path / seeds)]) == 0
+            fresh[seeds] = _files(tmp_path / seeds)
+        assert fresh["10"] != fresh["1"]
+        shared = tmp_path / "shared"
+        for seeds in ("10", "1", "10"):
+            assert main(["campaign", *tamper_1, "--seeds", seeds,
+                         "--out", str(shared)]) == 0
+            assert _files(shared) == fresh[seeds], seeds
+
+    def test_existing_file_keeps_inode_mode_and_links(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", "3", "--out", str(out)]) == 0
+        outcome = out / sim.OUTCOME_FILE
+        outcome.chmod(0o600)
+        link = tmp_path / "outcome_link.json"
+        link.hardlink_to(outcome)
+        before = outcome.stat()
+        assert main(["simulate", *self._tamper(tmp_path, 7), "--out", str(out)]) == 1
+        after = outcome.stat()
+        assert (after.st_ino, after.st_nlink, after.st_mode) == (
+            before.st_ino, 2, before.st_mode)
+        assert link.read_bytes() == outcome.read_bytes()
+        assert json.loads(link.read_text())["completed"] is False
+
+    def test_symlinked_artifact_writes_through(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        assert main(["simulate", "--seed", "3", "--out", str(fresh)]) == 0
+        target = tmp_path / "elsewhere.json"
+        target.write_bytes(b"x" * 10_000)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / sim.REGISTRY_FILE).symlink_to(target)
+        assert main(["simulate", "--seed", "3", "--out", str(out)]) == 0
+        assert (out / sim.REGISTRY_FILE).is_symlink()
+        assert target.read_bytes() == (fresh / sim.REGISTRY_FILE).read_bytes()
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            assert main(["simulate", "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+            with open(tmp_path / "reference", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / "run" / name).stat().st_mode)
+                 for name in _files(tmp_path / "run")}
+        assert modes == {0o664} == {stat.S_IMODE((tmp_path / "reference").stat().st_mode)}
+
+
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
 
@@ -508,17 +609,23 @@ def test_no_arguments_is_usage_error():
     "campaign --seeds 1 --config {dir}",
     "simulate --out {file}",
     "campaign --seeds 1 --out {file}",
+    "simulate --out {blocked}",
+    "campaign --seeds 1 --out {blocked}",
 ])
 def test_wrong_kind_of_path_is_usage_error(argv, artifacts, tmp_path, capsys):
     """A directory where a file is read or written, or a file where a
     directory is created, is a usage error, not a traceback."""
     taken = tmp_path / "taken"
     taken.write_text("")
-    code = main(argv.format(dir=tmp_path, file=taken,
+    blocked = tmp_path / "blocked"  # directories where outputs go
+    for name in (sim.OUTCOME_FILE, "campaign.json"):
+        (blocked / name).mkdir(parents=True)
+    code = main(argv.format(dir=tmp_path, file=taken, blocked=blocked,
                             transcript=artifacts / sim.TRANSCRIPT_FILE).split())
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 
