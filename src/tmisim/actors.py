@@ -413,12 +413,14 @@ class Doctor:
         return TpMsg3(e6, now)
 
 
-_UNEXPORTED = ("row",)  # the row's db key, kept for the phase's own later step
+# each phase's db key of its row, kept for the phase's own later step
+_UNEXPORTED = ("pup.row", "tp.row", "cp.row")
 
 
-def _context(**values) -> tuple:
-    # a phase's saved values as (name, value) pairs: immutable, like the rows
-    return tuple(values.items())
+def _context(phase: str, **values) -> tuple:
+    # a phase's saved values as (name, value) pairs, immutable like the rows,
+    # each named as session_values exports it: "<phase>.<key>"
+    return tuple([(f"{phase}.{key}", value) for key, value in values.items()])
 
 
 class Cloud:
@@ -443,7 +445,8 @@ class Cloud:
         s1 = s1_digest(msg.id_h, msg.a, b, msg.t_h1)
         k1 = k1_digest(msg.id_h, msg.a, msg.t_h1)
         e1 = sym_encrypt(derive_key(k1), E1Body(b, s1, now).encode(), self._rng)
-        self._hup = _context(id_h=msg.id_h, a=msg.a, b=b, s1=s1, t_h1=msg.t_h1, t_c2=now)
+        self._hup = _context("hup", id_h=msg.id_h, a=msg.a, b=b, s1=s1, t_h1=msg.t_h1,
+                             t_c2=now)
         return HupMsg2(e1, now)
 
     def hup_store(self, msg: HupMsg3, now: int) -> CloudRecord:
@@ -451,8 +454,8 @@ class Cloud:
         ctx = dict(self._hup)
         if not ctx:
             raise RecordIncomplete("no outstanding challenge")
-        sk_ch = sk_hc_digest(ctx["id_h"], ctx["s1"], dh_point(ctx["a"], ctx["b"]),
-                             ctx["t_c2"])
+        sk_ch = sk_hc_digest(ctx["hup.id_h"], ctx["hup.s1"],
+                             dh_point(ctx["hup.a"], ctx["hup.b"]), ctx["hup.t_c2"])
         body = E2Body.decode(sym_decrypt(derive_key(sk_ch), msg.e2))
         if s2_digest(sk_ch, body.c_h, body.sig_h, msg.t_h3) != body.s2:
             raise DigestMismatch("upload digest S2 mismatch")
@@ -460,7 +463,7 @@ class Cloud:
                              sn=random_scalar(self._rng),
                              sig_h=body.sig_h, c_h=body.c_h)
         self.db[(body.id_p, body.nid)] = record
-        self.id_h = ctx["id_h"]
+        self.id_h = ctx["hup.id_h"]
         self.sk_ch = sk_ch
         return record
 
@@ -477,7 +480,7 @@ class Cloud:
                          E3Body(record.sig_h, record.c_h, s3, self.id_h, c, now).encode(),
                          self._rng)
         i_mask = mask_serial(record.sn, mask_i_digest(msg.nid, msg.id_p))
-        self._pup = _context(row=(msg.id_p, msg.nid), c=c, s3=s3, t_c5=now)
+        self._pup = _context("pup", row=(msg.id_p, msg.nid), c=c, s3=s3, t_c5=now)
         return PupMsg2(e3, i_mask, now)
 
     def pup_store(self, msg: PupMsg3, now: int) -> CloudRecord:
@@ -485,16 +488,17 @@ class Cloud:
         ctx = dict(self._pup)
         if not ctx:
             raise RecordIncomplete("no outstanding upload response")
-        record = self.db[ctx["row"]]
+        record = self.db[ctx["pup.row"]]
         body = E4Body.decode(sym_decrypt(derive_key(record.sn), msg.e4))
-        cdg = dh_point(ctx["c"], body.d)
-        sk_cp = sk_pc_digest(record.id_p, self.id_h, record.c_h, ctx["s3"], cdg,
-                             ctx["t_c5"])
-        if s4_digest(sk_cp, body.c_p, body.sig_p, ctx["s3"], cdg, msg.t_p3) != body.s4:
+        cdg = dh_point(ctx["pup.c"], body.d)
+        sk_cp = sk_pc_digest(record.id_p, self.id_h, record.c_h, ctx["pup.s3"], cdg,
+                             ctx["pup.t_c5"])
+        if (s4_digest(sk_cp, body.c_p, body.sig_p, ctx["pup.s3"], cdg, msg.t_p3)
+                != body.s4):
             raise DigestMismatch("upload digest S4 mismatch")
-        record = self.db[ctx["row"]] = replace(record, c_p=body.c_p, sig_p=body.sig_p)
+        record = self.db[ctx["pup.row"]] = replace(record, c_p=body.c_p, sig_p=body.sig_p)
         self.sk_cp = sk_cp
-        self._pup = _context(**dict(ctx, d=body.d))
+        self._pup += (("pup.d", body.d),)
         return record
 
     # ── TP ──────────────────────────────────────────────────────────
@@ -516,7 +520,7 @@ class Cloud:
                                 record.nid, record.c_p, s, s5, now).encode(),
                          self._rng)
         j_mask = mask_serial(record.sn, mask_j_digest(msg.id_d, msg.r))
-        self._tp = _context(row=row, id_d=msg.id_d, r=msg.r, s=s, s5=s5, t_c8=now)
+        self._tp = _context("tp", row=row, id_d=msg.id_d, r=msg.r, s=s, s5=s5, t_c8=now)
         return TpMsg2(e5, j_mask, now)
 
     def tp_store(self, msg: TpMsg3, now: int) -> CloudRecord:
@@ -524,16 +528,16 @@ class Cloud:
         ctx = dict(self._tp)
         if not ctx:
             raise RecordIncomplete("no outstanding treatment response")
-        record = self.db[ctx["row"]]
+        record = self.db[ctx["tp.row"]]
         body = E6Body.decode(sym_decrypt(derive_key(record.sn), msg.e6))
-        s6 = s6_digest(record.id_p, ctx["id_d"], body.c_d, body.sig_d, record.sig_p,
+        s6 = s6_digest(record.id_p, ctx["tp.id_d"], body.c_d, body.sig_d, record.sig_p,
                        msg.t_d3)
         if s6 != body.s6:
             raise DigestMismatch("treatment digest S6 mismatch")
-        rsg = dh_point(ctx["r"], ctx["s"])
-        sk_cd = sk_dc_digest(s6, record.id_p, ctx["id_d"], body.sig_d, record.sig_p,
+        rsg = dh_point(ctx["tp.r"], ctx["tp.s"])
+        sk_cd = sk_dc_digest(s6, record.id_p, ctx["tp.id_d"], body.sig_d, record.sig_p,
                              rsg, msg.t_d3)
-        record = self.db[ctx["row"]] = replace(record, c_d=body.c_d, sig_d=body.sig_d)
+        record = self.db[ctx["tp.row"]] = replace(record, c_d=body.c_d, sig_d=body.sig_d)
         self.sk_cd = sk_cd
         return record
 
@@ -556,7 +560,8 @@ class Cloud:
         e7 = sym_encrypt(derive_key(self.sk_cp),
                          E7Body(id_d, record.sig_d, record.c_d, s7, y, now).encode(),
                          self._rng)
-        self._cp = _context(row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7, t_c11=now)
+        self._cp = _context("cp", row=(msg.id_p, msg.nid), x=msg.x, y=y, s7=s7,
+                            t_c11=now)
         return CpMsg2(e7, now)
 
     def cp_store(self, msg: CpMsg3, now: int) -> CloudRecord:
@@ -564,13 +569,13 @@ class Cloud:
         ctx = dict(self._cp)
         if not ctx:
             raise RecordIncomplete("no outstanding checkup response")
-        record = self.db[ctx["row"]]
+        record = self.db[ctx["cp.row"]]
         body = E8Body.decode(sym_decrypt(derive_key(self.sk_cp), msg.e8))
-        s8 = s8_digest(self.sk_cp, ctx["s7"], body.c_e, record.sig_p, record.sig_d,
-                       dh_point(ctx["x"], ctx["y"]), msg.t_p6)
+        s8 = s8_digest(self.sk_cp, ctx["cp.s7"], body.c_e, record.sig_p, record.sig_d,
+                       dh_point(ctx["cp.x"], ctx["cp.y"]), msg.t_p6)
         if s8 != body.s8:
             raise DigestMismatch("checkup digest S8 mismatch")
-        record = self.db[ctx["row"]] = replace(record, c_e=body.c_e)
+        record = self.db[ctx["cp.row"]] = replace(record, c_e=body.c_e)
         return record
 
     # ── insider-facing view of legitimately held values ─────────────
@@ -588,10 +593,8 @@ class Cloud:
                             ("sk_cd", self.sk_cd)):
             if value is not None:
                 out[name] = value
-        for phase, ctx in (("hup", self._hup), ("pup", self._pup),
-                           ("tp", self._tp), ("cp", self._cp)):
-            for key, value in ctx:
-                if key in _UNEXPORTED:
-                    continue
-                out[f"{phase}.{key}"] = value
+        for ctx in (self._hup, self._pup, self._tp, self._cp):
+            out.update(ctx)
+        for name in _UNEXPORTED:
+            out.pop(name, None)
         return out

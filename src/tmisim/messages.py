@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, NamedTuple, Optional
 
 from .errors import InvalidPoint, MalformedMessage, StaleTimestamp
-from .primitives import Ciphertext, GroupPoint, Scalar, frame
+from .primitives import NONCE_BYTES, TAG_BYTES, Ciphertext, GroupPoint, Scalar, frame
 
 CHANNEL_SECURE = "secure"
 CHANNEL_PUBLIC = "public"
@@ -350,6 +350,14 @@ def _timestamp(raw: int) -> int:
     return raw
 
 
+def _ciphertext(raw: dict) -> Ciphertext:
+    ct = Ciphertext(**{part: bytes.fromhex(data) for part, data in raw.items()})
+    # the wire layout nonce|tag|body finds the body by these fixed lengths
+    if len(ct.nonce) != NONCE_BYTES or len(ct.tag) != TAG_BYTES:
+        raise ValueError
+    return ct
+
+
 # kind -> (JSON type, to JSON, from JSON) for each kind whose JSON value is
 # not the hex of its bytes; no JSON value of these kinds is a bool
 _JSON_FORMS = {
@@ -359,8 +367,7 @@ _JSON_FORMS = {
     "utf8": (str, bytes.decode, str.encode),
     "ciphertext": (dict,
                    lambda value: {part: data.hex() for part, data in vars(value).items()},
-                   lambda raw: Ciphertext(**{part: bytes.fromhex(data)
-                                             for part, data in raw.items()})),
+                   _ciphertext),
 }
 
 

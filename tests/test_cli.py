@@ -689,8 +689,11 @@ class TestErrorsNameTheKey:
         assert capsys.readouterr().err == (
             "error: malformed input: bad registry: bad int value for tick_ms\n")
 
-    @pytest.mark.parametrize("key, value, kind", [("sig_h", 5, "signature"),
-                                                  ("sn", "00" * 32, "scalar")])
+    @pytest.mark.parametrize("key, value, kind", [
+        ("sig_h", 5, "signature"), ("sn", "00" * 32, "scalar"),
+        pytest.param("c_h", {"nonce": "00" * 15, "tag": "00" * 32, "body": "00"},
+                     "ciphertext", id="c_h-15-byte-nonce"),
+    ])
     def test_cloud_record(self, artifacts, tmp_path, capsys, key, value, kind):
         record = _record(artifacts)
         record[key] = value
@@ -719,6 +722,12 @@ class TestErrorsNameTheKey:
         (lambda line: line.update(channel=7), "bad text value for channel"),
         (lambda line: line["fields"]["e1"].update(nonce="zz"),
          "bad ciphertext value for e1"),
+        # the nonce and the tag have fixed lengths: 16 and 32 bytes
+        pytest.param(lambda line: line["fields"]["e1"].update(
+            nonce=line["fields"]["e1"]["nonce"][2:]), "bad ciphertext value for e1",
+            id="15-byte-nonce"),
+        pytest.param(lambda line: line["fields"]["e1"].update(tag=""),
+                     "bad ciphertext value for e1", id="empty-tag"),
     ])
     def test_transcript_line(self, artifacts, tmp_path, capsys, edit, message):
         lines = (artifacts / sim.TRANSCRIPT_FILE).read_bytes().splitlines()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from tmisim import backend, primitives, sim, verifier
 from tmisim.messages import (CHANNEL_PUBLIC, CHANNEL_SECURE, WIRE_MESSAGES, Transcript,
-                             _Struct, fields_to_json, parse_json)
-from tmisim.primitives import GroupPoint, Scalar
+                             _Struct, field_of_kind, fields_to_json, parse_json)
+from tmisim.primitives import Ciphertext, GroupPoint, Scalar
 from tmisim.sim import FaultInjection, ScenarioConfig, run_campaign, run_full_session
 
 _EXPECTED_TYPES = ["HupMsg1", "HupMsg2", "HupMsg3", "PupMsg1", "PupMsg2",
@@ -416,6 +417,81 @@ _FAULTS = st.one_of(
               delay_ms=st.integers(0, 2500)),
     st.builds(FaultInjection, target=st.integers(0, 11), action=st.just("replay")),
 )
+
+
+def _tampered_whole(payload, offset: int):
+    """The oracle: encode the whole ciphertext, flip the low bit of byte
+    `offset % length`, and decode it again."""
+    name = field_of_kind(type(payload), "ciphertext")
+    raw = bytearray(getattr(payload, name).encode())
+    raw[offset % len(raw)] ^= 0x01
+    return payload.replace(**{name: Ciphertext.decode(bytes(raw))})
+
+
+class TestTampered:
+    @pytest.mark.parametrize("seed, variant", [(4242, "A"), (7, "B")])
+    def test_part_local_flip_matches_whole_ciphertext_flip(self, seed, variant):
+        outcome = run_full_session(ScenarioConfig(seed=seed, variant=variant))
+        assert outcome.completed
+        for target in _TAMPERABLE:
+            payload = outcome.transcript[target].payload
+            name = field_of_kind(type(payload), "ciphertext")
+            length = len(getattr(payload, name).encode())
+            for offset in [*range(2 * length), 10**6, 10**18]:
+                tampered = sim._tampered(payload, offset)
+                assert tampered == _tampered_whole(payload, offset), (target, offset)
+                assert tampered != payload
+
+
+class TestValidation:
+    _BAD_FAULTS = [
+        (FaultInjection(4, "smash"), "unknown fault action 'smash'"),
+        (FaultInjection(12, "tamper"), "fault target must be a message index 0..11"),
+        (FaultInjection(4, "delay", delay_ms=2**32),
+         "delay_ms must be non-negative and below 2^32 ms"),
+        (FaultInjection(0, "tamper"), "HupMsg1 (message 0) carries no ciphertext to tamper"),
+    ]
+
+    @pytest.mark.parametrize("fault", [fault for fault, _ in _BAD_FAULTS])
+    def test_a_bad_base_is_reported_before_a_bad_fault(self, fault):
+        sim._checkpoints.cache_clear()
+        cfg = ScenarioConfig(seed=3, variant="Z", faults=(fault,))
+        with pytest.raises(ValueError, match="^variant must be one of"):
+            run_full_session(cfg)
+        with pytest.raises(ValueError, match="^variant must be one of"):
+            cfg.validate()
+        assert sim._checkpoints.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("fault, message", _BAD_FAULTS)
+    def test_a_bad_fault_on_a_cached_base(self, fault, message):
+        base = ScenarioConfig(seed=3)
+        sim._checkpoints.cache_clear()
+        run_full_session(_faulted(base, FaultInjection(2, "tamper")))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_full_session(_faulted(base, FaultInjection(11, "replay"), fault))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _faulted(base, fault).validate()
+        info = sim._checkpoints.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)  # the base is still the one built
+
+    def test_a_sweep_validates_its_base_once(self, monkeypatch):
+        validated = []
+        validate = ScenarioConfig.validate
+
+        def counted(cfg):
+            validated.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        sim._checkpoints.cache_clear()
+        base = ScenarioConfig(seed=9)
+        faults = [*(FaultInjection(target, "tamper", offset=target)
+                    for target in _TAMPERABLE),
+                  *(FaultInjection(target, "replay") for target in range(12)),
+                  FaultInjection(6, "delay", delay_ms=100)]
+        for fault in faults:
+            run_full_session(_faulted(base, fault))
+        assert validated == [base]
 
 
 class TestCheckpointForks:
