@@ -68,7 +68,6 @@ from .primitives import (
     hash_fields,
     mask_serial,
     random_scalar,
-    sign,
     sym_decrypt,
     sym_encrypt,
     unmask_serial,
@@ -272,7 +271,7 @@ class Hospital:
         sk_hc = sk_hc_digest(self.id_h, s1, dh_point(self._a, body.b), msg.t_c2)
         k2 = c_h_key_digest(self.id_p, self.id_h, self.nid)
         c_h = sym_encrypt(derive_key(k2), encode_report_bundle([self.report]), self._rng)
-        sig_h = sign(self.keypair.private, report_digest(self.report))
+        sig_h = self.keypair.sign(report_digest(self.report))
         s2 = s2_digest(sk_hc, c_h, sig_h, now)
         e2 = sym_encrypt(derive_key(sk_hc),
                          E2Body(self.id_p, s2, c_h, self.nid, sig_h, now).encode(),
@@ -327,7 +326,7 @@ class Patient:
                                  nid=self.nid, id_d=self.directory.id_d, sn=y)
         c_p = sym_encrypt(derive_key(k_pd),
                           encode_report_bundle([m_h, self.report]), self._rng)
-        sig_p = sign(self.keypair.private, report_digest(self.report))
+        sig_p = self.keypair.sign(report_digest(self.report))
         s4 = s4_digest(sk_pc, c_p, sig_p, s3, cdg, now)
         e4 = sym_encrypt(derive_key(y),
                          E4Body(d, s4, sig_p, c_p, now).encode(), self._rng)
@@ -403,7 +402,7 @@ class Doctor:
         m_d = make_diagnosis(m_h, m_b, body.id_p)
         c_d = sym_encrypt(derive_key(k_pd),
                           encode_report_bundle([m_h, m_b, m_d]), self._rng)
-        sig_d = sign(self.keypair.private, report_digest(m_d))
+        sig_d = self.keypair.sign(report_digest(m_d))
         s6 = s6_digest(body.id_p, self.id_d, c_d, sig_d, body.sig_p, now)
         rsg = dh_point(self._r, body.s)
         sk_dc = sk_dc_digest(s6, body.id_p, self.id_d, sig_d, body.sig_p, rsg, now)

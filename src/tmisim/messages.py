@@ -351,7 +351,11 @@ def _timestamp(raw: int) -> int:
 
 
 def _ciphertext(raw: dict) -> Ciphertext:
-    ct = Ciphertext(**{part: bytes.fromhex(data) for part, data in raw.items()})
+    # exactly the three parts, built positionally (a keyword call costs more)
+    if len(raw) != 3:
+        raise ValueError
+    ct = Ciphertext(bytes.fromhex(raw["nonce"]), bytes.fromhex(raw["body"]),
+                    bytes.fromhex(raw["tag"]))
     # the wire layout nonce|tag|body finds the body by these fixed lengths
     if len(ct.nonce) != NONCE_BYTES or len(ct.tag) != TAG_BYTES:
         raise ValueError

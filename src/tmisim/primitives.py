@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import backend
 from .errors import AuthFailure, InvalidPoint
@@ -224,13 +224,29 @@ def random_scalar(rng: SeededRng) -> Scalar:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A signing key and its public point.
+
+    The constructor takes the private scalar alone and derives ``public``
+    as private·G, so no key pair holds a public point that is not its own.
+    That is what makes a signature's verdict known when :meth:`sign`
+    makes it.
+    """
+
     private: Scalar
-    public: GroupPoint
+    public: GroupPoint = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "public", ec_base_mul(self.private))
 
     @classmethod
     def generate(cls, rng: SeededRng) -> "KeyPair":
-        private = random_scalar(rng)
-        return cls(private, ec_base_mul(private))
+        return cls(random_scalar(rng))
+
+    def sign(self, digest: bytes) -> bytes:
+        """:func:`sign` under this key, its verdict recorded for :func:`verify`."""
+        sig = sign(self.private, digest)
+        _signed.add((self.public.x, self.public.y, bytes(digest), sig))
+        return sig
 
 
 # ── hashing and key derivation ──────────────────────────────────────────
@@ -299,11 +315,8 @@ class Ciphertext:
     def decode(cls, data: bytes) -> "Ciphertext":
         if len(data) < NONCE_BYTES + TAG_BYTES:
             raise ValueError("ciphertext too short")
-        return cls(
-            nonce=data[:NONCE_BYTES],
-            tag=data[NONCE_BYTES:NONCE_BYTES + TAG_BYTES],
-            body=data[NONCE_BYTES + TAG_BYTES:],
-        )
+        return cls(data[:NONCE_BYTES], data[NONCE_BYTES + TAG_BYTES:],
+                   data[NONCE_BYTES:NONCE_BYTES + TAG_BYTES])
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
@@ -352,7 +365,7 @@ def sym_encrypt(key: bytes, plaintext: bytes, rng: SeededRng) -> Ciphertext:
     nonce = rng.take(NONCE_BYTES)
     body = _xor(plaintext, _keystream(_subkey(key, b"enc"), nonce, len(plaintext)))
     tag = _hmac(_subkey(key, b"mac"), nonce + body)
-    return Ciphertext(nonce=nonce, body=body, tag=tag)
+    return Ciphertext(nonce, body, tag)
 
 
 def sym_decrypt(key: bytes | SymKey, ct: Ciphertext) -> bytes:
@@ -405,17 +418,30 @@ def sign(private: Scalar, digest: bytes) -> bytes:
 
 
 def verify(public: GroupPoint, digest: bytes, sig: bytes) -> bool:
-    """True iff sig is a valid signature on digest under public."""
+    """True iff sig is a valid signature on digest under public.
+
+    A signature that a :class:`KeyPair` made in this process is valid by
+    ECDSA's correctness: its public point is private·G, so
+    u1·G + u2·public = k·G, whose x is r. Its verdict is read from the
+    record :meth:`KeyPair.sign` keeps; any other signature goes to the
+    kernel (through a memo of its verdict).
+    """
     if len(sig) != SIGNATURE_BYTES or len(digest) != DIGEST_BYTES:
         return False
-    return _verified(public.x, public.y, bytes(digest), bytes(sig))
+    key = (public.x, public.y, bytes(digest), bytes(sig))
+    return key in _signed or _verified(*key)
 
 
-# A session checks each of its three signatures more than once (the
-# receiving actors, then offline verification), always on the same public
-# inputs, so the verdict is memoised on exactly those inputs. Nothing
-# secret enters the memo. Building a sim._Session empties it and the
-# session's forks share it, so it only has to hold one session's signatures.
+# The (x, y, digest, sig) of each signature a KeyPair made: public values
+# only, each one valid. Building a sim._Session empties it and the
+# session's forks share it, so it holds one session's signatures.
+_signed: set = set()
+
+
+# A session checks a signature more than once (the receiving actors, then
+# offline verification), always on the same public inputs, so a verdict
+# the kernel computes is memoised on exactly those inputs. Nothing secret
+# enters the memo; building a sim._Session empties it, as it does _signed.
 @functools.lru_cache(maxsize=8)
 def _verified(x: int, y: int, digest: bytes, sig: bytes) -> bool:
     r = int.from_bytes(sig[:32], "big")

@@ -192,8 +192,9 @@ class _Session:
     """One session, advanced one transmission at a time by :meth:`step`."""
 
     def __init__(self, cfg: ScenarioConfig):
-        # the verdict and shared-point memos serve this session and its
-        # forks (fork() runs no __init__), never another session
+        # the signature record, the verdict and shared-point memos serve this
+        # session and its forks (fork() runs no __init__), never another session
+        primitives._signed.clear()
         primitives._verified.cache_clear()
         primitives._dh.cache_clear()
         self.cfg = cfg
@@ -324,15 +325,20 @@ class _Session:
 
 class _Checkpoints:
     """A live fault-free session plus a copy of it taken before each step,
-    advanced only as far as a fork has asked for."""
+    advanced only as far as a fork has asked for. The session is built at
+    the first fork, so a base whose faults are refused builds none."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.live = _Session(cfg)
-        self.snapshots = [self.live.fork()]  # [i]: before step i
+        self.cfg = cfg
+        self.live = None
+        self.snapshots = []  # [i]: before step i
 
     def fork(self, index: int) -> _Session:
         """A private copy of the session before step `index`, or before the
         step at which it aborted if that comes first."""
+        if self.live is None:
+            self.live = _Session(self.cfg)
+            self.snapshots.append(self.live.fork())
         live, snapshots = self.live, self.snapshots
         while len(snapshots) <= index and not live.finished:
             live.step()
@@ -376,15 +382,19 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     session (shared across calls with the same base) taken just before
     the fault, and only the rest of the session runs.
 
-    Building a session empties the signature-verdict and shared-point
-    memos, so a fault-free run (10 fixed-base multiplications) and a new
-    base start from empty ones, and the offline verification of the
-    transcript makes none. A fork keeps them: a faulted run reuses the
-    points and verdicts its base already computed.
+    Each actor signs through its KeyPair, which records the signature's
+    verdict (valid: the pair's public point is private·G), so the receivers
+    and the offline verification of the transcript read it from that
+    record: a fault-free run makes 10 fixed-base multiplications and no
+    double-base one. Building a session empties the record and the
+    verdict and shared-point memos, so a fault-free run and a new base
+    start from empty ones. A fork keeps them: a faulted run reuses the
+    points and verdicts its base already has.
 
-    The base config is validated once, when its checkpoints are built; a
-    faulted run then checks only its faults, so a bad base is still
-    reported before a bad fault. One fault on the fixed-seed session of
+    The base config is validated once, when its checkpoints are made, and
+    their session is built at the first fork; a faulted run checks its
+    faults in between, so a bad base is still reported before a bad fault,
+    and a bad fault builds no session. One fault on the fixed-seed session of
     `tamper_sweep` costs about 35 µs on the pure backend (its untraced
     p50 in BENCH_24.json), of which the fork is about 4.5 µs.
     """

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmisim import _p256_py as pure
-from tmisim import backend, primitives, sim
+from tmisim import backend, primitives, sim, verifier
+from tmisim.messages import Transcript, parse_json
 
 P, N, B, GX, GY = pure.P, pure.N, pure.B, pure.GX, pure.GY
 
@@ -243,10 +244,21 @@ def test_backend_switch_restores():
         backend.use(original)
 
 
+def _forget_verdicts():
+    """Empty every memo a backend's results could cross in: the fault-free
+    base, the signature record and verdicts, and the shared points."""
+    sim._checkpoints.cache_clear()
+    primitives._signed.clear()
+    primitives._verified.cache_clear()
+    primitives._dh.cache_clear()
+
+
 def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
                                               tmp_path):
     """Both kernels write byte-identical artifacts for variants A and B and
-    for a session with a tamper and a stale replay."""
+    for a session with a tamper and a stale replay, and give the same
+    checks when each written transcript is verified on the kernel, as in
+    a fresh process."""
     configs = [sim.ScenarioConfig(seed=31),
                sim.ScenarioConfig(seed=32, variant="B"),
                sim.ScenarioConfig(seed=33, faults=(
@@ -262,23 +274,27 @@ def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
     monkeypatch.setattr(compiled_kernel, "double_base_mult", counted)
     monkeypatch.setattr(backend, "_speedups", compiled_kernel)
     monkeypatch.setattr(backend, "_active", backend._active)
+    checks = {}
     try:
         for name in ("pure", "compiled"):
             backend.use(name)
-            # neither the memoised fault-free base nor a memoised signature
-            # verdict or shared point may cross backends
-            sim._checkpoints.cache_clear()
-            primitives._verified.cache_clear()
-            primitives._dh.cache_clear()
+            _forget_verdicts()
             for i, cfg in enumerate(configs):
                 sim.write_artifacts(sim.run_full_session(cfg),
                                     tmp_path / name / str(i))
+            for i in range(len(configs)):
+                _forget_verdicts()
+                out = tmp_path / name / str(i)
+                transcript = Transcript.from_jsonl(
+                    (out / sim.TRANSCRIPT_FILE).read_bytes())
+                registry = sim.registry_from_dict(
+                    parse_json((out / sim.REGISTRY_FILE).read_bytes(), "registry"))
+                checks[name, i] = verifier.verify_transcript(transcript, registry)
     finally:
-        sim._checkpoints.cache_clear()
-        primitives._verified.cache_clear()
-        primitives._dh.cache_clear()
+        _forget_verdicts()
     assert compiled_calls, "the compiled pass never verified a signature"
     for i, cfg in enumerate(configs):
+        assert checks["pure", i] == checks["compiled", i], cfg
         for artifact in (sim.TRANSCRIPT_FILE, sim.CLOUD_DB_FILE,
                          sim.OUTCOME_FILE):
             pure_bytes = (tmp_path / "pure" / str(i) / artifact).read_bytes()

@@ -257,3 +257,16 @@ class TestTranscript:
         cm = msgs.make_channel_message(_sample(msgs.HupMsg2), 40)
         line = msgs.serialize(cm)
         assert b'"nonce"' in line and b'"tag"' in line and b'"body"' in line
+
+    @pytest.mark.parametrize("parts", [
+        {"nonce": "00" * 16, "tag": "00" * 32},
+        {"nonce": "00" * 16, "tag": "00" * 32, "bodi": "00"},
+        {"nonce": "00" * 16, "tag": "00" * 32, "body": "00", "extra": "00"},
+        {},
+    ])
+    def test_ciphertext_json_needs_exactly_its_three_parts(self, parts):
+        with pytest.raises(MalformedMessage, match="^bad ciphertext value for e1$"):
+            msgs._value_from_json(parts, "ciphertext", "e1")
+        ct = msgs._value_from_json({"tag": "11" * 32, "body": "22", "nonce": "33" * 16},
+                                   "ciphertext", "e1")
+        assert (ct.nonce, ct.body, ct.tag) == (b"\x33" * 16, b"\x22", b"\x11" * 32)

@@ -324,6 +324,45 @@ class TestSignatures:
             "019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083")
 
 
+class TestKeyPair:
+    def test_public_is_always_private_times_g(self):
+        """No KeyPair holds a public point that is not private·G: the one
+        constructor derives it, and nothing sets it afterwards."""
+        kp = pr.KeyPair.generate(_rng(label="kp"))
+        assert kp.public == pr.ec_base_mul(kp.private)
+        other = pr.KeyPair.generate(_rng(label="kp-other")).public
+        with pytest.raises(TypeError):
+            pr.KeyPair(kp.private, other)
+        with pytest.raises(TypeError):
+            pr.KeyPair(private=kp.private, public=other)
+        with pytest.raises(ValueError):
+            dataclasses.replace(kp, public=other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kp.public = other
+        with pytest.raises(ValueError):
+            pr.KeyPair(pr.Scalar(0))
+        moved = dataclasses.replace(kp, private=pr.Scalar(5))
+        assert moved.public == pr.ec_base_mul(pr.Scalar(5)) != kp.public
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, pr.ORDER - 1))
+    def test_public_is_base_mult_of_private(self, k):
+        kp = pr.KeyPair(pr.Scalar(k))
+        assert (kp.public.x, kp.public.y) == pr.backend.base_mult(k)
+        assert kp == pr.KeyPair(pr.Scalar(k))
+
+    def test_sign_is_bare_sign_recorded(self):
+        kp = pr.KeyPair.generate(_rng(label="kp-sign"))
+        digest = hashlib.sha256(b"recorded").digest()
+        pr._signed.clear()
+        sig = kp.sign(digest)
+        assert sig == pr.sign(kp.private, digest)
+        assert pr._signed == {(kp.public.x, kp.public.y, digest, sig)}
+        with pytest.raises(ValueError):
+            kp.sign(digest[:31])
+        assert len(pr._signed) == 1
+
+
 def _reference_verify(public, digest, sig):
     """ECDSA verification with no memo, written out independently."""
     if len(sig) != 64 or len(digest) != 32:
@@ -373,19 +412,34 @@ _MUTATIONS = {
 class TestVerifyMemo:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 1),
-           st.binary(min_size=32, max_size=32), st.binary(min_size=2, max_size=8),
-           st.booleans())
-    def test_same_verdict_as_uncached(self, mutation, signer, digest, data, fresh):
+           st.binary(min_size=32, max_size=32), st.binary(min_size=2, max_size=8))
+    @example("other_digest", 0, bytes(32), b"\x01\x02")
+    @example("other_key", 1, bytes(32), b"\x01\x02")
+    @example("flip_sig_byte", 0, b"\x07" * 32, b"\x05\x02")
+    def test_same_verdict_as_uncached(self, mutation, signer, digest, data):
+        """Signed through KeyPair.sign (its verdict recorded) or through bare
+        sign, with the memo and the record emptied or not, verify agrees
+        with the reference on the valid triple and on its mutation."""
         key = _SIGNERS[signer]
         sig = pr.sign(key.private, digest)
         bad_sig, bad_digest, bad_key = _MUTATIONS[mutation](sig, digest, key.public, data)
-        if fresh:
-            pr._verified.cache_clear()
         # the mutated triple is asked before and after the valid one
-        for public, d, s in ((bad_key, bad_digest, bad_sig), (key.public, digest, sig),
-                             (bad_key, bad_digest, bad_sig), (key.public, digest, sig)):
-            assert pr.verify(public, d, s) == _reference_verify(public, d, s)
-        assert pr.verify(key.public, digest, sig)
+        asked = ((bad_key, bad_digest, bad_sig), (key.public, digest, sig)) * 2
+        expected = [_reference_verify(*triple) for triple in asked]
+        assert expected[1]
+        valid = (key.public.x, key.public.y, digest, sig)
+        mutated = (bad_key.x, bad_key.y, bytes(bad_digest), bytes(bad_sig))
+        for recorded in (False, True):
+            for fresh in (False, True):
+                if recorded:
+                    assert key.sign(digest) == sig
+                    assert valid in pr._signed
+                if fresh:
+                    pr._verified.cache_clear()
+                    pr._signed.clear()
+                # a mutated triple is in the record only if it has the valid one's bytes
+                assert mutated not in pr._signed or mutated == valid
+                assert [pr.verify(*triple) for triple in asked] == expected
 
     def test_repeat_is_a_hit(self):
         key, digest = _SIGNERS[0], hashlib.sha256(b"memo").digest()

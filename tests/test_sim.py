@@ -474,6 +474,34 @@ class TestValidation:
         info = sim._checkpoints.cache_info()
         assert (info.misses, info.currsize) == (1, 1)  # the base is still the one built
 
+    def test_a_bad_fault_on_a_new_base_builds_no_session(self, monkeypatch):
+        """A valid base that is not cached, with a bad fault: the fault is
+        refused before the base's session is built, so the signature
+        record and the memos of the last session stay as they were."""
+        assert run_full_session(ScenarioConfig(seed=70)).completed
+        signed = set(primitives._signed)
+        assert len(signed) == 3
+        built = []
+        init = sim._Session.__init__
+
+        def counted(session, cfg):
+            built.append(cfg)
+            init(session, cfg)
+
+        monkeypatch.setattr(sim._Session, "__init__", counted)
+        sim._checkpoints.cache_clear()
+        base = ScenarioConfig(seed=71)
+        with pytest.raises(ValueError,
+                           match="^fault target must be a message index 0..11$"):
+            run_full_session(_faulted(base, FaultInjection(12, "tamper")))
+        assert built == []
+        assert primitives._signed == signed
+        assert primitives._dh.cache_info().currsize == 4
+        # the first good fault on that base builds its session, once
+        for fault in (FaultInjection(2, "tamper"), FaultInjection(7, "tamper")):
+            run_full_session(_faulted(base, fault))
+        assert built == [base]
+
     def test_a_sweep_validates_its_base_once(self, monkeypatch):
         validated = []
         validate = ScenarioConfig.validate
@@ -678,31 +706,47 @@ def _count_kernel_calls(monkeypatch):
 class TestOpCounts:
     def test_session_and_offline_verify_kernel_calls(self, monkeypatch):
         """A fault-free session makes 10 fixed-base multiplications (each
-        of its four shared points once) and checks 3 distinct signatures;
-        offline verification finds its 3 shared points and every signature
-        already computed."""
+        of its four shared points once) and no double-base one: each of its
+        3 signatures was recorded valid when its KeyPair made it. Offline
+        verification finds every point and verdict already known; with the
+        memos and the record emptied, as in a fresh process, it checks the
+        3 signatures on the kernel, and every check passes again."""
         calls = _count_kernel_calls(monkeypatch)
         outcome = run_full_session(ScenarioConfig(seed=63))
         assert outcome.completed
-        assert calls == {"base_mult": 10, "double_base_mult": 3}
+        assert calls == {"base_mult": 10, "double_base_mult": 0}
+        assert len(primitives._signed) == 3
+        assert primitives._verified.cache_info().misses == 0
+        assert primitives._dh.cache_info().misses == 4
         registry = sim.registry_from_dict(sim.registry_to_dict(outcome))
         checks = verifier.verify_transcript(outcome.transcript, registry)
         assert checks and all(c.ok for c in checks)
-        assert calls == {"base_mult": 10, "double_base_mult": 3}
+        assert calls == {"base_mult": 10, "double_base_mult": 0}
+        primitives._signed.clear()
+        primitives._verified.cache_clear()
+        primitives._dh.cache_clear()
+        assert verifier.verify_transcript(outcome.transcript, registry) == checks
+        assert calls == {"base_mult": 13, "double_base_mult": 3}
         assert primitives._verified.cache_info().misses == 3
-        assert primitives._dh.cache_info().misses == 4
 
     def test_a_rerun_session_verifies_again(self, monkeypatch):
-        """The verdict memo lives for one session: running the same session
-        again checks its three signatures again."""
+        """The record lives for one session: a signature made before the
+        last session was built is checked on the kernel again, and still
+        verifies."""
+        assert run_full_session(ScenarioConfig(seed=64)).completed
+        made = sorted(primitives._signed)
+        assert len(made) == 3
         calls = []
         kernel = backend.double_base_mult
         monkeypatch.setattr(backend, "double_base_mult",
                             lambda *args: calls.append(args) or kernel(*args))
         assert run_full_session(ScenarioConfig(seed=64)).completed
+        assert calls == [] and sorted(primitives._signed) == made
+        sim._Session(ScenarioConfig(seed=65))
+        assert not primitives._signed
+        for x, y, digest, sig in made:
+            assert primitives.verify(GroupPoint(x, y), digest, sig)
         assert len(calls) == 3
-        assert run_full_session(ScenarioConfig(seed=64)).completed
-        assert calls[3:] == calls[:3]
 
     def test_a_rerun_session_computes_its_shared_points_again(self):
         """The shared-point memo lives for one session: running the same
