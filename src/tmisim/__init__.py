@@ -19,7 +19,6 @@ from .adversary import (
     insider_reveal_patient_bundle,
     insider_reveal_treatment_bundle,
     passive_eavesdrop_attempt,
-    scan_anonymity,
 )
 from .sim import (
     CampaignStats,
@@ -51,5 +50,4 @@ __all__ = [
     "passive_eavesdrop_attempt",
     "run_campaign",
     "run_full_session",
-    "scan_anonymity",
 ]

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 from .actors import VARIANT_A, VARIANT_B, report_key_digest
 from .errors import AttackFailed, AuthFailure
-from .messages import (
-    CHANNEL_PUBLIC,
-    MedicalReport,
-    Transcript,
-    decode_report_bundle,
-    fields_to_json,
-    serialize,
-)
+from .messages import MedicalReport, Transcript, decode_report_bundle, fields_to_json
 from .primitives import Scalar, SymKey, derive_key, sym_decrypt
 
 VERDICT_HOLDS = "HOLDS"
@@ -190,20 +183,11 @@ def insider_attack(view: InsiderView) -> AttackReport:
 
 
 def check_report_confidentiality(outcome) -> str:
-    """VIOLATED iff some principal outside {P, H, D} recovers a report.
-
-    Evaluated constructively: run the insider reveals against the
-    outcome's insider view, stopping at the first that recovers one. A
-    session that stored nothing holds vacuously.
-    """
-    record, keys = _insider_keys(InsiderView.from_outcome(outcome))
-    for step in _REVEALS:
-        try:
-            _reveal(record, keys, step)
-        except AttackFailed:
-            continue
-        return VERDICT_VIOLATED
-    return VERDICT_HOLDS
+    """VIOLATED iff some principal outside {P, H, D} recovers a report:
+    the verdict of :func:`insider_attack` on the outcome's insider view. A
+    session that stored nothing holds vacuously."""
+    view = InsiderView.from_outcome(outcome)
+    return insider_attack(view).verdicts["report_confidentiality"]
 
 
 def passive_eavesdrop_attempt(view: PassiveView, extra_material=()) -> AttackReport:
@@ -244,19 +228,3 @@ def passive_eavesdrop_attempt(view: PassiveView, extra_material=()) -> AttackRep
     report.success = bool(report.opened)
     return report
 
-
-def scan_anonymity(transcript, id_p: bytes):
-    """Indices of public-channel messages exposing the patient identity.
-
-    Looks for the identity's canonical hex in each serialized message;
-    every byte field is hex-encoded on the wire, so a cleartext
-    occurrence in any public field surfaces as a substring hit.
-    """
-    needle = id_p.hex().encode()
-    findings = []
-    for index, message in enumerate(transcript):
-        if message.channel != CHANNEL_PUBLIC:
-            continue
-        if needle in serialize(message):
-            findings.append(index)
-    return findings

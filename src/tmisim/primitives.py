@@ -117,9 +117,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def mul_mod(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.value * other.value % ORDER)
-
     def __eq__(self, other):
         return isinstance(other, Scalar) and self.value == other.value
 
@@ -169,10 +166,6 @@ class GroupPoint:
 
     def __repr__(self):
         return f"GroupPoint(0x{self.x:x}, 0x{self.y:x})"
-
-
-def base_point() -> GroupPoint:
-    return GroupPoint(backend.GX, backend.GY)
 
 
 def ec_mul(k: Scalar, point: GroupPoint) -> GroupPoint:
@@ -424,36 +417,28 @@ def verify(public: GroupPoint, digest: bytes, sig: bytes) -> bool:
     ECDSA's correctness: its public point is private·G, so
     u1·G + u2·public = k·G, whose x is r. Its verdict is read from the
     record :meth:`KeyPair.sign` keeps; any other signature goes to the
-    kernel (through a memo of its verdict).
+    kernel.
     """
     if len(sig) != SIGNATURE_BYTES or len(digest) != DIGEST_BYTES:
         return False
-    key = (public.x, public.y, bytes(digest), bytes(sig))
-    return key in _signed or _verified(*key)
+    if (public.x, public.y, bytes(digest), bytes(sig)) in _signed:
+        return True
+    r = int.from_bytes(sig[:32], "big")
+    s = int.from_bytes(sig[32:], "big")
+    if not (0 < r < ORDER and 0 < s < ORDER):
+        return False
+    if not backend.is_on_curve(public.x, public.y):
+        return False
+    e = int.from_bytes(digest, "big") % ORDER
+    w = pow(s, -1, ORDER)
+    point = backend.double_base_mult(e * w % ORDER, r * w % ORDER, public.x, public.y)
+    return point is not None and point[0] % ORDER == r
 
 
 # The (x, y, digest, sig) of each signature a KeyPair made: public values
 # only, each one valid. Building a sim._Session empties it and the
 # session's forks share it, so it holds one session's signatures.
 _signed: set = set()
-
-
-# A session checks a signature more than once (the receiving actors, then
-# offline verification), always on the same public inputs, so a verdict
-# the kernel computes is memoised on exactly those inputs. Nothing secret
-# enters the memo; building a sim._Session empties it, as it does _signed.
-@functools.lru_cache(maxsize=8)
-def _verified(x: int, y: int, digest: bytes, sig: bytes) -> bool:
-    r = int.from_bytes(sig[:32], "big")
-    s = int.from_bytes(sig[32:], "big")
-    if not (0 < r < ORDER and 0 < s < ORDER):
-        return False
-    if not backend.is_on_curve(x, y):
-        return False
-    e = int.from_bytes(digest, "big") % ORDER
-    w = pow(s, -1, ORDER)
-    point = backend.double_base_mult(e * w % ORDER, r * w % ORDER, x, y)
-    return point is not None and point[0] % ORDER == r
 
 
 # ── serial-number masking ───────────────────────────────────────────────

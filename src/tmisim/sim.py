@@ -192,10 +192,9 @@ class _Session:
     """One session, advanced one transmission at a time by :meth:`step`."""
 
     def __init__(self, cfg: ScenarioConfig):
-        # the signature record, the verdict and shared-point memos serve this
-        # session and its forks (fork() runs no __init__), never another session
+        # the signature record and the shared-point memo serve this session
+        # and its forks (fork() runs no __init__), never another session
         primitives._signed.clear()
-        primitives._verified.cache_clear()
         primitives._dh.cache_clear()
         self.cfg = cfg
         master = SeededRng(cfg.seed, "session")
@@ -387,23 +386,27 @@ def run_full_session(cfg: ScenarioConfig) -> SessionOutcome:
     and the offline verification of the transcript read it from that
     record: a fault-free run makes 10 fixed-base multiplications and no
     double-base one. Building a session empties the record and the
-    verdict and shared-point memos, so a fault-free run and a new base
-    start from empty ones. A fork keeps them: a faulted run reuses the
-    points and verdicts its base already has.
+    shared-point memo, so a fault-free run and a new base start from empty
+    ones. A fork keeps them: a faulted run reuses the points and verdicts
+    its base already has.
 
-    The base config is validated once, when its checkpoints are made, and
-    their session is built at the first fork; a faulted run checks its
-    faults in between, so a bad base is still reported before a bad fault,
-    and a bad fault builds no session. One fault on the fixed-seed session of
-    `tamper_sweep` costs about 35 µs on the pure backend (its untraced
-    p50 in BENCH_24.json), of which the fork is about 4.5 µs.
+    A faulted run checks its faults first, so a bad fault neither builds
+    a session nor evicts the cached base; when one is bad, the whole
+    config is validated, so a bad base is still reported before it. The
+    base config is validated once, when its checkpoints are made, and
+    their session is built at the first fork. One fault on the fixed-seed
+    session of `tamper_sweep` costs about 35 µs on the pure backend (its
+    untraced p50 in BENCH_24.json), of which the fork is about 4.5 µs.
     """
     if not cfg.faults:
         cfg.validate()
         return _Session(cfg).run()
-    base = _checkpoints(_base_values(cfg))  # a bad base raises here
-    _check_faults(cfg.faults)
-    session = base.fork(_divergence(cfg.faults))
+    try:
+        _check_faults(cfg.faults)
+    except ValueError:
+        cfg.validate()
+        raise
+    session = _checkpoints(_base_values(cfg)).fork(_divergence(cfg.faults))
     session.cfg = cfg  # the rest of the session runs with the faults
     return session.run()
 

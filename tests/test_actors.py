@@ -17,6 +17,7 @@ from tmisim.errors import (
 )
 from tmisim.messages import (
     E2Body,
+    E3Body,
     HupMsg3,
     PupMsg1,
     TpMsg1,
@@ -35,6 +36,8 @@ from tmisim.primitives import (
 ID_P, ID_H, ID_D = b"patient-001", b"hospital-01", b"doctor-07"
 NID = b"nid-4242"
 DELTA = 2000
+# a public key that signed nothing in any session here
+WRONG_KEY = KeyPair.generate(SeededRng(77, "other")).public
 
 
 def build_actors(seed=1, variant="A", directory_override=None):
@@ -182,12 +185,22 @@ class TestPupFailures:
         from tmisim.primitives import unmask_serial
         assert unmask_serial(m2.i_mask, actors.mask_digest(NID, ID_P)) == record.sn
 
+    def test_forged_response_digest(self):
+        hospital, patient, _d, cloud, _ = build_actors()
+        record, t = run_hup(hospital, cloud)
+        m2 = cloud.pup_respond(patient.pup_request(t + 10), t + 20)
+        key = derive_key(record.sn)
+        forged = E3Body.decode(sym_decrypt(key, m2.e3)).replace(s3=bytes(32))
+        e3 = sym_encrypt(key, forged.encode(), SeededRng(99, "forge"))
+        with pytest.raises(DigestMismatch, match="^response digest S3 mismatch$"):
+            patient.pup_upload(m2.replace(e3=e3), t + 30)
+        assert patient.sk_pc is None and patient.serial is None
+
     def test_wrong_hospital_key_rejects_signature(self):
-        other = KeyPair.generate(SeededRng(77, "other")).public
         hospital, patient, _d, cloud, _ = build_actors(
             directory_override=None)
         # patient trusts a different hospital key than the one that signed
-        bad_directory = dataclasses.replace(patient.directory, pk_h=other)
+        bad_directory = dataclasses.replace(patient.directory, pk_h=WRONG_KEY)
         patient.directory = bad_directory
         _, t = run_hup(hospital, cloud)
         m2 = cloud.pup_respond(patient.pup_request(t + 10), t + 20)
@@ -266,6 +279,35 @@ class TestDoctorFailures:
         m2 = cloud.tp_respond(doctor.tp_request(t + 10), t + 20)
         with pytest.raises(StaleTimestamp):
             doctor.tp_prescribe(m2, t + 20 + DELTA + 1)
+
+
+class TestSignatureGuards:
+    """Only the checking actor's directory holds a wrong public key for the
+    signer. No KeyPair signed under that key, so verify finds nothing in
+    its record, checks the signature on the kernel and rejects it."""
+
+    @pytest.mark.parametrize("field, signer", [("pk_h", "hospital"),
+                                               ("pk_p", "patient")])
+    def test_doctor_rejects_a_signature_under_a_wrong_key(self, field, signer):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        doctor.directory = dataclasses.replace(doctor.directory, **{field: WRONG_KEY})
+        _, t = run_hup(hospital, cloud)
+        _, t = run_pup(patient, cloud, t)
+        m2 = cloud.tp_respond(doctor.tp_request(t + 10), t + 20)
+        with pytest.raises(BadSignature, match=f"^{signer} signature rejected$"):
+            doctor.tp_prescribe(m2, t + 30)
+        assert doctor.sk_dc is None
+
+    def test_patient_rejects_the_doctor_signature_under_a_wrong_key(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        patient.directory = dataclasses.replace(patient.directory, pk_d=WRONG_KEY)
+        _, t = run_hup(hospital, cloud)
+        _, t = run_pup(patient, cloud, t)
+        _, t = run_tp(doctor, cloud, t)
+        m2 = cloud.cp_respond(patient.cp_request(t + 10), t + 20)
+        with pytest.raises(BadSignature, match="^doctor signature rejected$"):
+            patient.cp_collect(m2, t + 30)
+        assert patient.recovered is None
 
 
 _SAMPLE_PARTS = {

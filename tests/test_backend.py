@@ -246,10 +246,9 @@ def test_backend_switch_restores():
 
 def _forget_verdicts():
     """Empty every memo a backend's results could cross in: the fault-free
-    base, the signature record and verdicts, and the shared points."""
+    base, the signature record and the shared points."""
     sim._checkpoints.cache_clear()
     primitives._signed.clear()
-    primitives._verified.cache_clear()
     primitives._dh.cache_clear()
 
 

@@ -502,6 +502,20 @@ class TestValidation:
             run_full_session(_faulted(base, fault))
         assert built == [base]
 
+    @pytest.mark.parametrize("fault, message", _BAD_FAULTS)
+    def test_a_bad_fault_on_a_new_base_keeps_the_cached_one(self, fault, message):
+        """A bad fault on another base is refused before that base is
+        made, so it does not evict the cached one: the next faulted run on
+        the cached base forks it without building a session."""
+        base = ScenarioConfig(seed=5)
+        sim._checkpoints.cache_clear()
+        run_full_session(_faulted(base, FaultInjection(2, "tamper")))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_full_session(_faulted(ScenarioConfig(seed=6), fault))
+        run_full_session(_faulted(base, FaultInjection(7, "tamper")))
+        info = sim._checkpoints.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
     def test_a_sweep_validates_its_base_once(self, monkeypatch):
         validated = []
         validate = ScenarioConfig.validate
@@ -709,25 +723,22 @@ class TestOpCounts:
         of its four shared points once) and no double-base one: each of its
         3 signatures was recorded valid when its KeyPair made it. Offline
         verification finds every point and verdict already known; with the
-        memos and the record emptied, as in a fresh process, it checks the
+        memo and the record emptied, as in a fresh process, it checks the
         3 signatures on the kernel, and every check passes again."""
         calls = _count_kernel_calls(monkeypatch)
         outcome = run_full_session(ScenarioConfig(seed=63))
         assert outcome.completed
         assert calls == {"base_mult": 10, "double_base_mult": 0}
         assert len(primitives._signed) == 3
-        assert primitives._verified.cache_info().misses == 0
         assert primitives._dh.cache_info().misses == 4
         registry = sim.registry_from_dict(sim.registry_to_dict(outcome))
         checks = verifier.verify_transcript(outcome.transcript, registry)
         assert checks and all(c.ok for c in checks)
         assert calls == {"base_mult": 10, "double_base_mult": 0}
         primitives._signed.clear()
-        primitives._verified.cache_clear()
         primitives._dh.cache_clear()
         assert verifier.verify_transcript(outcome.transcript, registry) == checks
         assert calls == {"base_mult": 13, "double_base_mult": 3}
-        assert primitives._verified.cache_info().misses == 3
 
     def test_a_rerun_session_verifies_again(self, monkeypatch):
         """The record lives for one session: a signature made before the
