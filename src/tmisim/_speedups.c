@@ -4,11 +4,19 @@
    products use 128-bit intermediates and CIOS reduction. Points use
    Jacobian coordinates with the a = -3 formulas of the Explicit-Formulas
    Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
+   Only two formulas add or double points: the doubling and the mixed
+   addition of an affine point. Every precomputed table is therefore
+   affine, and batch_normalize converts each with one inversion
+   (Montgomery's simultaneous-inversion trick). An inversion is a^(p-2)
+   by a fixed addition chain.
+
    base_mult adds one entry per 4-bit window from a 64x15 table of
-   multiples of G; double_base_mult interleaves width-4 wNAF over G with
-   width-5 wNAF over the other point's odd multiples on one doubling
-   chain. Results equal those of tmisim._p256_py, so the two backends are
-   interchangeable behind tmisim.backend.
+   multiples of G, built at import with one inversion per row. Its first
+   row, d * G for d = 1..15, also serves the G digits of
+   double_base_mult, which interleaves width-4 wNAF over G with width-5
+   wNAF over a per-call table of the other point's multiples on one
+   doubling chain. Results equal those of tmisim._p256_py, so the two
+   backends are interchangeable behind tmisim.backend.
 
    Only the limited C API of Python 3.10 is used: integers cross it
    through int.to_bytes and int.from_bytes. */
@@ -18,6 +26,7 @@
 #include <Python.h>
 
 #include <stdint.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -27,7 +36,6 @@ typedef struct { uint64_t x[4], y[4]; } APoint;
 static PyObject *P_INT, *N_INT;  /* the modulus and group order as ints */
 
 static uint64_t P_LIMBS[4];
-static uint64_t P_MINUS_2[4];
 static uint64_t N0;          /* -p^-1 mod 2^64 */
 static uint64_t R2[4];       /* 2^512 mod p */
 static uint64_t ONE_M[4];    /* Montgomery form of 1 */
@@ -35,7 +43,6 @@ static uint64_t B_M[4];      /* curve b, Montgomery form */
 static uint64_t THREE_M[4];  /* 3, Montgomery form */
 
 static APoint BASE_TABLE[64][15];  /* BASE_TABLE[i][d-1] = d * 16^i * G */
-static APoint G_WINDOW[15];        /* G_WINDOW[d-1]      = d * G */
 
 
 /* ── field arithmetic ─────────────────────────────────────────────────── */
@@ -136,18 +143,34 @@ static void fe_mul(uint64_t *r, const uint64_t *a, const uint64_t *b)
     fe_copy(r, t[4] || !borrow ? d : t);
 }
 
-/* a^(p-2) by square-and-multiply; only used at affine conversion */
+/* r = a^(2^k) * b */
+static void fe_sqr_mul(uint64_t *r, const uint64_t *a, int k, const uint64_t *b)
+{
+    uint64_t t[4];
+    fe_copy(t, a);
+    while (k-- > 0)
+        fe_mul(t, t, t);
+    fe_mul(r, t, b);
+}
+
+/* r = a^(p-2) = 1/a by an addition chain of 255 squarings and 12
+   multiplications. xk = a^(2^k - 1); in binary, p - 2 is 32 ones,
+   31 zeros, a one, 96 zeros, 94 ones, a zero and a one. */
 static void fe_inv(uint64_t *r, const uint64_t *a)
 {
-    uint64_t res[4];
-    int i;
-    fe_copy(res, ONE_M);
-    for (i = 255; i >= 0; i--) {
-        fe_mul(res, res, res);
-        if ((P_MINUS_2[i >> 6] >> (i & 63)) & 1)
-            fe_mul(res, res, a);
-    }
-    fe_copy(r, res);
+    uint64_t x2[4], x3[4], x6[4], x12[4], x15[4], x30[4], x32[4], t[4];
+    fe_sqr_mul(x2, a, 1, a);
+    fe_sqr_mul(x3, x2, 1, a);
+    fe_sqr_mul(x6, x3, 3, x3);
+    fe_sqr_mul(x12, x6, 6, x6);
+    fe_sqr_mul(x15, x12, 3, x3);
+    fe_sqr_mul(x30, x15, 15, x15);
+    fe_sqr_mul(x32, x30, 2, x2);
+    fe_sqr_mul(t, x32, 32, a);
+    fe_sqr_mul(t, t, 128, x32);
+    fe_sqr_mul(t, t, 32, x32);
+    fe_sqr_mul(t, t, 30, x30);
+    fe_sqr_mul(r, t, 2, a);
 }
 
 
@@ -203,60 +226,6 @@ static void jac_dbl(JPoint *r, const JPoint *a)
     fe_copy(r->X, X3); fe_copy(r->Y, Y3); fe_copy(r->Z, Z3);
 }
 
-/* add-2007-bl */
-static void jac_add(JPoint *r, const JPoint *a, const JPoint *b)
-{
-    uint64_t Z1Z1[4], Z2Z2[4], U1[4], U2[4], S1[4], S2[4];
-    uint64_t H[4], I[4], J[4], rr[4], V[4];
-    uint64_t t0[4], t1[4];
-    uint64_t X3[4], Y3[4], Z3[4];
-    if (jp_is_inf(a)) {
-        *r = *b;
-        return;
-    }
-    if (jp_is_inf(b)) {
-        *r = *a;
-        return;
-    }
-    fe_mul(Z1Z1, a->Z, a->Z);
-    fe_mul(Z2Z2, b->Z, b->Z);
-    fe_mul(U1, a->X, Z2Z2);
-    fe_mul(U2, b->X, Z1Z1);
-    fe_mul(t0, a->Y, b->Z);
-    fe_mul(S1, t0, Z2Z2);
-    fe_mul(t0, b->Y, a->Z);
-    fe_mul(S2, t0, Z1Z1);
-    if (fe_eq(U1, U2)) {
-        if (!fe_eq(S1, S2))
-            jp_set_inf(r);
-        else
-            jac_dbl(r, a);
-        return;
-    }
-    fe_sub(H, U2, U1);
-    fe_add(t0, H, H);
-    fe_mul(I, t0, t0);
-    fe_mul(J, H, I);
-    fe_sub(t0, S2, S1);
-    fe_add(rr, t0, t0);
-    fe_mul(V, U1, I);
-    fe_mul(t0, rr, rr);
-    fe_sub(t0, t0, J);
-    fe_sub(t0, t0, V);
-    fe_sub(X3, t0, V);
-    fe_sub(t0, V, X3);
-    fe_mul(t1, rr, t0);
-    fe_mul(t0, S1, J);
-    fe_add(t0, t0, t0);
-    fe_sub(Y3, t1, t0);
-    fe_add(t0, a->Z, b->Z);
-    fe_mul(t1, t0, t0);
-    fe_sub(t1, t1, Z1Z1);
-    fe_sub(t1, t1, Z2Z2);
-    fe_mul(Z3, t1, H);
-    fe_copy(r->X, X3); fe_copy(r->Y, Y3); fe_copy(r->Z, Z3);
-}
-
 /* madd-2007-bl: mixed addition, implicit Z2 = 1 */
 static void jac_add_affine(JPoint *r, const JPoint *a, const APoint *b)
 {
@@ -302,23 +271,36 @@ static void jac_add_affine(JPoint *r, const JPoint *a, const APoint *b)
     fe_copy(r->X, X3); fe_copy(r->Y, Y3); fe_copy(r->Z, Z3);
 }
 
-static void jac_neg(JPoint *r, const JPoint *a)
+/* row[k-1] = k * base for k = 1..n, by mixed additions */
+static void multiples(JPoint *row, const APoint *base, int n)
 {
-    uint64_t zero[4] = {0};
-    fe_copy(r->X, a->X);
-    fe_sub(r->Y, zero, a->Y);
-    fe_copy(r->Z, a->Z);
+    int k;
+    fe_copy(row[0].X, base->x); fe_copy(row[0].Y, base->y);
+    fe_copy(row[0].Z, ONE_M);
+    for (k = 1; k < n; k++)
+        jac_add_affine(&row[k], &row[k - 1], base);
 }
 
-/* out = a in affine form, still in the Montgomery domain; a is finite */
-static void jp_normalize(APoint *out, const JPoint *a)
+/* out[i] = in[i] in affine form, still in the Montgomery domain, for
+   n <= 16 finite points: one inversion of the product of the Z's, then
+   each 1/Z from the prefix products */
+static void batch_normalize(APoint *out, const JPoint *in, int n)
 {
-    uint64_t zi[4], zi2[4], zi3[4];
-    fe_inv(zi, a->Z);
-    fe_mul(zi2, zi, zi);
-    fe_mul(zi3, zi2, zi);
-    fe_mul(out->x, a->X, zi2);
-    fe_mul(out->y, a->Y, zi3);
+    uint64_t prefix[16][4], inv[4], zi[4], zi2[4];
+    int i;
+    fe_copy(prefix[0], ONE_M);
+    for (i = 1; i < n; i++)
+        fe_mul(prefix[i], prefix[i - 1], in[i - 1].Z);
+    fe_mul(inv, prefix[n - 1], in[n - 1].Z);
+    fe_inv(inv, inv);
+    for (i = n - 1; i >= 0; i--) {
+        fe_mul(zi, prefix[i], inv);
+        fe_mul(inv, inv, in[i].Z);
+        fe_mul(zi2, zi, zi);
+        fe_mul(out[i].x, in[i].X, zi2);
+        fe_mul(zi2, zi2, zi);
+        fe_mul(out[i].y, in[i].Y, zi2);
+    }
 }
 
 
@@ -401,7 +383,7 @@ static PyObject *jp_to_affine(const JPoint *a)
     PyObject *x, *y;
     if (jp_is_inf(a))
         Py_RETURN_NONE;
-    jp_normalize(&out, a);
+    batch_normalize(&out, a, 1);
     x = fe_to_int(out.x);
     y = fe_to_int(out.y);
     if (x == NULL || y == NULL) {
@@ -460,49 +442,37 @@ static PyObject *base_mult_limbs(const uint64_t *k)
     return jp_to_affine(&acc);
 }
 
-/* odd[j] = (2j+1) * (x, y), j in 0..7 */
-static int odd_multiples(JPoint *odd, PyObject *x, PyObject *y)
+/* acc += d * P for a wNAF digit d, where table[k-1] = k * P */
+static void add_digit(JPoint *acc, const APoint *table, int d)
 {
-    JPoint twice;
-    int j;
-    if (fe_from_int(odd[0].X, x) < 0 || fe_from_int(odd[0].Y, y) < 0)
-        return -1;
-    fe_copy(odd[0].Z, ONE_M);
-    jac_dbl(&twice, &odd[0]);
-    for (j = 1; j < 8; j++)
-        jac_add(&odd[j], &odd[j - 1], &twice);
-    return 0;
+    APoint neg;
+    uint64_t zero[4] = {0};
+    if (d > 0) {
+        jac_add_affine(acc, acc, &table[d - 1]);
+    } else if (d < 0) {
+        fe_copy(neg.x, table[-d - 1].x);
+        fe_sub(neg.y, zero, table[-d - 1].y);
+        jac_add_affine(acc, acc, &neg);
+    }
 }
 
 static PyObject *double_base_mult_limbs(const uint64_t *u, const uint64_t *v,
                                         PyObject *x, PyObject *y)
 {
-    JPoint odd[8], acc, neg;
-    APoint nega;
-    uint64_t zero[4] = {0};
-    int du[MAX_DIGITS] = {0}, dv[MAX_DIGITS] = {0}, lu, lv, i, d;
-    if (odd_multiples(odd, x, y) < 0)
+    JPoint row[15], acc;
+    APoint q, table[15];
+    int du[MAX_DIGITS] = {0}, dv[MAX_DIGITS] = {0}, lu, lv, i;
+    if (fe_from_int(q.x, x) < 0 || fe_from_int(q.y, y) < 0)
         return NULL;
+    multiples(row, &q, 15);
+    batch_normalize(table, row, 15);
     lu = wnaf(du, u, 4);
     lv = wnaf(dv, v, 5);
     jp_set_inf(&acc);
     for (i = (lu > lv ? lu : lv) - 1; i >= 0; i--) {
         jac_dbl(&acc, &acc);
-        d = du[i];
-        if (d > 0) {
-            jac_add_affine(&acc, &acc, &G_WINDOW[d - 1]);
-        } else if (d < 0) {
-            fe_copy(nega.x, G_WINDOW[-d - 1].x);
-            fe_sub(nega.y, zero, G_WINDOW[-d - 1].y);
-            jac_add_affine(&acc, &acc, &nega);
-        }
-        d = dv[i];
-        if (d > 0) {
-            jac_add(&acc, &acc, &odd[(d - 1) >> 1]);
-        } else if (d < 0) {
-            jac_neg(&neg, &odd[(-d - 1) >> 1]);
-            jac_add(&acc, &acc, &neg);
-        }
+        add_digit(&acc, BASE_TABLE[0], du[i]);
+        add_digit(&acc, table, dv[i]);
     }
     return jp_to_affine(&acc);
 }
@@ -605,41 +575,31 @@ static struct PyModuleDef module = {
 
 /* ── module set-up: constants and precomputed tables ──────────────────── */
 
+/* Row i of BASE_TABLE from its affine base 16^i * G, which out[15]
+   holds. The row's batch also normalises 16 * base, the next row's base,
+   into out[15]. */
 static int init_tables(PyObject *gx, PyObject *gy)
 {
-    JPoint g, win, cur;
-    int i, d;
-    if (fe_from_int(g.X, gx) < 0 || fe_from_int(g.Y, gy) < 0)
+    JPoint row[16];
+    APoint out[16];
+    int i;
+    if (fe_from_int(out[15].x, gx) < 0 || fe_from_int(out[15].y, gy) < 0)
         return -1;
-    fe_copy(g.Z, ONE_M);
-    win = g;
     for (i = 0; i < 64; i++) {
-        jp_set_inf(&cur);
-        for (d = 0; d < 15; d++) {
-            jac_add(&cur, &cur, &win);
-            jp_normalize(&BASE_TABLE[i][d], &cur);
-        }
-        for (d = 0; d < 4; d++)
-            jac_dbl(&win, &win);
-    }
-    jp_set_inf(&cur);
-    for (d = 0; d < 15; d++) {
-        jac_add(&cur, &cur, &g);
-        jp_normalize(&G_WINDOW[d], &cur);
+        multiples(row, &out[15], 16);
+        batch_normalize(out, row, 16);
+        memcpy(BASE_TABLE[i], out, sizeof BASE_TABLE[i]);
     }
     return 0;
 }
 
-/* Field constants from P's limbs. p = 2^64 - 1 mod 2^64, so p - 2 only
-   changes the low limb. */
+/* Field constants from P's limbs */
 static int init_field(PyObject *b)
 {
     uint64_t three[4] = {3, 0, 0, 0}, inv;
     int i;
     if (limbs_from_int(P_LIMBS, P_INT) < 0)
         return -1;
-    fe_copy(P_MINUS_2, P_LIMBS);
-    P_MINUS_2[0] -= 2;
     inv = P_LIMBS[0];  /* Newton's iteration for p^-1 mod 2^64 */
     for (i = 0; i < 6; i++)
         inv *= 2 - P_LIMBS[0] * inv;

@@ -133,6 +133,8 @@ class GroupPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x: int, y: int):
+        # the one curve check: verify and shared_point take any
+        # GroupPoint as valid, and decode builds through here
         if not backend.is_on_curve(x, y):
             raise InvalidPoint("point is not on the curve")
         self.x = x
@@ -187,8 +189,6 @@ def shared_point(my_ephemeral: Scalar, their_public_ephemeral: GroupPoint) -> Gr
 
     shared_point(a, b*G) == shared_point(b, a*G) == (a*b)*G.
     """
-    if not backend.is_on_curve(their_public_ephemeral.x, their_public_ephemeral.y):
-        raise InvalidPoint("peer point is not on the curve")
     return ec_mul(my_ephemeral, their_public_ephemeral)
 
 
@@ -426,8 +426,6 @@ def verify(public: GroupPoint, digest: bytes, sig: bytes) -> bool:
     r = int.from_bytes(sig[:32], "big")
     s = int.from_bytes(sig[32:], "big")
     if not (0 < r < ORDER and 0 < s < ORDER):
-        return False
-    if not backend.is_on_curve(public.x, public.y):
         return False
     e = int.from_bytes(digest, "big") % ORDER
     w = pow(s, -1, ORDER)

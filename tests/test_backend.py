@@ -26,6 +26,17 @@ CARRY_SCALARS = [N - 1, 2**256 - 1, 2**252 - 1,
                  sum(33 << 6 * i for i in range(42))]
 CARRY_SCALARS += [2**(6 * i) + e for i in range(1, 43) for e in (-1, 1)]
 
+# every signed digit of the compiled kernel's two wNAF tables: width 4
+# over G, width 5 over the other point
+G_DIGITS = range(-7, 8, 2)
+Q_DIGITS = range(-15, 16, 2)
+
+
+def _lowest_digit(d, width):
+    """A scalar whose width-`width` NAF starts with digit d: d itself, or
+    2**width + d (digits d, then 1 at bit `width`) for a negative d."""
+    return d if d > 0 else (1 << width) + d
+
 
 # ── independent oracle ──────────────────────────────────────────────────
 
@@ -124,6 +135,20 @@ class TestBackend:
             expected = _affine_add(_affine_mul(u, (GX, GY)), _affine_mul(v, q))
             assert impl.double_base_mult(u, v, q[0], q[1]) == expected, (u, v)
 
+    def test_double_base_mult_every_table_digit(self, impl):
+        # each pair of digits is the last pair added; with Q = G or -G
+        # and equal positive digits, the point digit's mixed addition
+        # doubles or folds to infinity
+        q = _affine_mul(random.Random(9).randrange(1, N), (GX, GY))
+        for point in (q, (GX, GY), (GX, P - GY)):
+            for dg in G_DIGITS:
+                for dq in Q_DIGITS:
+                    u, v = _lowest_digit(dg, 4), _lowest_digit(dq, 5)
+                    expected = _affine_add(_affine_mul(u, (GX, GY)),
+                                           _affine_mul(v, point))
+                    assert impl.double_base_mult(u, v, *point) == expected, \
+                        (dg, dq, point)
+
     def test_double_base_mult_zero_scalars(self, impl):
         rng = random.Random(7)
         k = rng.randrange(1, N)
@@ -200,6 +225,16 @@ def test_backend_parity(compiled_kernel):
         u, v = rng.randrange(1, N), rng.randrange(1, N)
         assert (compiled.double_base_mult(u, v, q[0], q[1])
                 == pure.double_base_mult(u, v, q[0], q[1]))
+
+
+def test_base_mult_every_table_entry(compiled_kernel):
+    """d * 16**i has one nonzero 4-bit window, so the compiled base_mult
+    returns its table entry d * 16**i * G itself: all 64 x 15 entries,
+    against the pure kernel."""
+    for i in range(64):
+        for d in range(1, 16):
+            k = d << 4 * i
+            assert compiled_kernel.base_mult(k) == pure.base_mult(k), (i, d)
 
 
 def test_openssl_cross_check():
