@@ -3,18 +3,18 @@
 Jacobian coordinates with the a = -3 formulas from the Explicit-Formulas
 Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
 
-- ``base_mult`` uses a signed 6-bit fixed-base table: row ``i`` holds
+- ``base_mult`` uses a signed 6-bit fixed-base comb: row ``i`` holds
   ``j * 64**i * G`` for ``j = 1..32`` in affine form, so a scalar costs
   one mixed addition per nonzero signed digit and no doublings.
-- ``double_base_mult`` runs one interleaved wNAF loop: width 7 over a
-  table of G's odd multiples, width 5 over the odd multiples of the
-  input point, which are converted to affine with one inversion per
-  call, so every addition is a mixed addition.
+- ``double_base_mult`` computes ``v * Q`` by unsigned 4-bit windows,
+  most significant first, over the affine multiples ``k * Q`` for
+  ``k = 1..15``, built per call with one inversion; the same comb then
+  adds ``u * G`` into that accumulator.
 - Inversions use ``pow(z, -1, P)``; a Montgomery batch inversion turns
   each precomputed table into affine points with one inversion.
 
-The two generator tables are built lazily, once per process; nothing
-else persists between calls. Mathematically correct but makes no attempt
+The comb table is built lazily, once per process; nothing else
+persists between calls. Mathematically correct but makes no attempt
 at constant-time execution; the compiled kernel in ``tmisim._speedups``
 is the fast path and this module is what the package falls back to when
 that extension is unavailable.
@@ -39,8 +39,6 @@ _INF = (0, 1, 0)  # Jacobian point at infinity (Z == 0)
 # A reduced scalar is below 2**256, so its top 6-bit window holds at most
 # 15 and the signed recoding never carries past row 42: 43 rows suffice.
 _COMB_ROWS = 43
-_G_WIDTH = 7  # wNAF width for G: 32 precomputed odd multiples
-_P_WIDTH = 5  # wNAF width for other points: 8 odd multiples per call
 
 
 def is_on_curve(x, y):
@@ -49,12 +47,13 @@ def is_on_curve(x, y):
     return (y * y - (x * x * x - 3 * x + B)) % P == 0
 
 
-# ── Jacobian group law (a = -3), for table builds and rare cases ────────
+# ── Jacobian group law (a = -3) ─────────────────────────────────────────
 #
-# The hot loops below inline the same formulas. Their invariant: the
-# point at infinity always has X == 0 (it is _INF, or a doubling of it),
-# so a mixed addition sees H == 0 exactly when the accumulator is at
-# infinity or equals the addend up to sign, and defers to _add_mixed.
+# The comb below inlines the mixed addition. Its invariant: both
+# functions return the point at infinity as _INF, so it always has
+# X == 0, and a mixed addition sees H == 0 exactly when the accumulator
+# is at infinity or equals the addend up to sign, and defers to
+# _add_mixed.
 
 def _dbl(X1, Y1, Z1):
     if Z1 == 0 or Y1 == 0:
@@ -119,13 +118,7 @@ def _progression(x, y, dx, dy, count):
     return pts
 
 
-def _odd_multiples(x, y, width):
-    """Affine 1P, 3P, ..., (2**(width-1) - 1)P for P = (x, y)."""
-    tx, ty = _to_affine(*_dbl(x, y, 1))
-    return _batch_to_affine(_progression(x, y, tx, ty, 1 << (width - 2)))
-
-
-# ── Lazily built generator tables ───────────────────────────────────────
+# ── Lazily built generator table ────────────────────────────────────────
 
 @_cache
 def _comb_table():
@@ -140,19 +133,14 @@ def _comb_table():
     return rows
 
 
-@_cache
-def _g_odd_table():
-    return _odd_multiples(GX, GY, _G_WIDTH)
+# ── Scalar multiplication ───────────────────────────────────────────────
 
+def _comb(k, X, Y, Z):
+    """Add k*G, for 0 <= k < N, to the Jacobian point (X, Y, Z).
 
-# ── Fixed-base multiplication ───────────────────────────────────────────
-
-def base_mult(k):
-    """Return k*G in affine coordinates (None for k == 0 mod N)."""
-    k %= N
-    if k == 0:
-        return None
-    X, Y, Z = _INF
+    One mixed addition per nonzero signed 6-bit digit and no doublings.
+    The addition is inlined because base_mult is the hot path.
+    """
     for row in _comb_table():
         d = k & 63
         k >>= 6
@@ -177,66 +165,31 @@ def base_mult(k):
         Y = (R * (V - X3) - Y * HHH) % P
         X = X3
         Z = Z * H % P
-    return _to_affine(X, Y, Z)
+    return X, Y, Z
 
 
-# ── Double-base multiplication: interleaved wNAF ────────────────────────
-
-def _wnaf_adds(k, width, odd, adds):
-    """Append to adds[i] the signed table point for k's wNAF digit at bit i."""
-    span = 1 << width
-    half = span >> 1
-    i = 0
-    while k:
-        shift = (k & -k).bit_length() - 1
-        k >>= shift
-        i += shift
-        d = k & (span - 1)
-        if d >= half:
-            d -= span
-            x, y = odd[-d >> 1]
-            adds[i].append((x, P - y))
-        else:
-            adds[i].append(odd[d >> 1])
-        k -= d
+def base_mult(k):
+    """Return k*G in affine coordinates (None for k == 0 mod N)."""
+    return _to_affine(*_comb(k % N, *_INF))
 
 
 def double_base_mult(u, v, x, y):
     """Return u*G + v*(x, y) in affine coordinates, or None at infinity.
 
-    Interleaved wNAF: one shared doubling chain, used by signature
-    verification where this saves roughly half the work.
+    v*(x, y) by unsigned 4-bit windows over a per-call affine table of
+    the point's multiples 1..15, most significant window first; u*G is
+    then added by the fixed-base comb.
     """
     u %= N
     v %= N
     if u == 0 and v == 0:
         return None
-    adds = [[] for _ in range(257)]
-    _wnaf_adds(u, _G_WIDTH, _g_odd_table(), adds)
-    _wnaf_adds(v, _P_WIDTH, _odd_multiples(x, y, _P_WIDTH), adds)
+    table = _batch_to_affine(_progression(x, y, x, y, 15))
     X, Y, Z = _INF
-    for pts in reversed(adds):
-        # doubling (dbl-2001-b, a = -3); keeps Z == 0 and X == 0 at infinity
-        ZZ = Z * Z % P
-        YY = Y * Y % P
-        beta = X * YY % P
-        alpha = 3 * (X - ZZ) * (X + ZZ) % P
-        X3 = (alpha * alpha - 8 * beta) % P
-        Z = 2 * Y * Z % P
-        Y = (alpha * (4 * beta - X3) - 8 * YY * YY) % P
-        X = X3
-        for x2, y2 in pts:
-            ZZ = Z * Z % P
-            H = x2 * ZZ % P - X
-            if H == 0:
-                X, Y, Z = _add_mixed(X, Y, Z, x2, y2)
-                continue
-            R = y2 * ZZ % P * Z % P - Y
-            HH = H * H % P
-            HHH = HH * H % P
-            V = X * HH % P
-            X3 = (R * R - HHH - 2 * V) % P
-            Y = (R * (V - X3) - Y * HHH) % P
-            X = X3
-            Z = Z * H % P
-    return _to_affine(X, Y, Z)
+    for shift in range(252, -1, -4):
+        for _ in range(4):
+            X, Y, Z = _dbl(X, Y, Z)
+        d = v >> shift & 15
+        if d:
+            X, Y, Z = _add_mixed(X, Y, Z, *table[d - 1])
+    return _to_affine(*_comb(u, X, Y, Z))

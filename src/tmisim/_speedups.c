@@ -10,12 +10,12 @@
    (Montgomery's simultaneous-inversion trick). An inversion is a^(p-2)
    by a fixed addition chain.
 
-   base_mult adds one entry per 4-bit window from a 64x15 table of
-   multiples of G, built at import with one inversion per row. Its first
-   row, d * G for d = 1..15, also serves the G digits of
-   double_base_mult, which interleaves width-4 wNAF over G with width-5
-   wNAF over a per-call table of the other point's multiples on one
-   doubling chain. Results equal those of tmisim._p256_py, so the two
+   base_mult adds one entry per nonzero 4-bit window from a 64x15
+   table of multiples of G, built at import with one inversion per row;
+   comb_add is that loop. double_base_mult computes v * Q by unsigned
+   4-bit windows, most significant first, over a per-call table of Q's
+   multiples 1..15, then lets comb_add add u * G into the same
+   accumulator. Results equal those of tmisim._p256_py, so the two
    backends are interchangeable behind tmisim.backend.
 
    Only the limited C API of Python 3.10 is used: integers cross it
@@ -397,83 +397,45 @@ static PyObject *jp_to_affine(const JPoint *a)
 
 /* ── scalar multiplication ────────────────────────────────────────────── */
 
-#define MAX_DIGITS 258  /* a reduced scalar has at most 257 wNAF digits */
-
-/* Width-w NAF of k, least significant digit first; returns the count */
-static int wnaf(int *digits, const uint64_t *k_in, int w)
+/* the i-th 4-bit window of a scalar, least significant first */
+static inline int window(const uint64_t *k, int i)
 {
-    uint64_t k[5] = {k_in[0], k_in[1], k_in[2], k_in[3], 0};
-    const int span = 1 << w, half = 1 << (w - 1);
-    int len = 0, i, d;
-    while (k[0] | k[1] | k[2] | k[3] | k[4]) {
-        d = 0;
-        if (k[0] & 1) {
-            d = (int)(k[0] & (uint64_t)(span - 1));
-            if (d >= half) {
-                d -= span;
-                /* k -= d: add -d and carry */
-                k[0] += (uint64_t)-d;
-                if (k[0] < (uint64_t)-d)
-                    for (i = 1; i < 5 && ++k[i] == 0; i++)
-                        ;
-            } else {
-                k[0] -= (uint64_t)d;  /* clears k's low w bits, no borrow */
-            }
-        }
-        digits[len++] = d;
-        for (i = 0; i < 4; i++)
-            k[i] = k[i] >> 1 | k[i + 1] << 63;
-        k[4] >>= 1;
-    }
-    return len;
+    return (int)((k[i >> 4] >> ((i & 15) << 2)) & 15);
 }
 
-static PyObject *base_mult_limbs(const uint64_t *k)
+/* acc += k * G by the fixed-base comb: one entry of BASE_TABLE per
+   nonzero 4-bit window of k, and no doublings */
+static void comb_add(JPoint *acc, const uint64_t *k)
 {
-    JPoint acc;
-    int i;
-    uint64_t d;
-    jp_set_inf(&acc);
+    int i, d;
     for (i = 0; i < 64; i++) {
-        d = (k[i >> 4] >> ((i & 15) << 2)) & 15;
+        d = window(k, i);
         if (d)
-            jac_add_affine(&acc, &acc, &BASE_TABLE[i][d - 1]);
-    }
-    return jp_to_affine(&acc);
-}
-
-/* acc += d * P for a wNAF digit d, where table[k-1] = k * P */
-static void add_digit(JPoint *acc, const APoint *table, int d)
-{
-    APoint neg;
-    uint64_t zero[4] = {0};
-    if (d > 0) {
-        jac_add_affine(acc, acc, &table[d - 1]);
-    } else if (d < 0) {
-        fe_copy(neg.x, table[-d - 1].x);
-        fe_sub(neg.y, zero, table[-d - 1].y);
-        jac_add_affine(acc, acc, &neg);
+            jac_add_affine(acc, acc, &BASE_TABLE[i][d - 1]);
     }
 }
 
+/* u * G + v * (x, y): v by unsigned 4-bit windows over the point's
+   multiples 1..15, most significant window first, then u by the comb */
 static PyObject *double_base_mult_limbs(const uint64_t *u, const uint64_t *v,
                                         PyObject *x, PyObject *y)
 {
     JPoint row[15], acc;
     APoint q, table[15];
-    int du[MAX_DIGITS] = {0}, dv[MAX_DIGITS] = {0}, lu, lv, i;
+    int i, j, d;
     if (fe_from_int(q.x, x) < 0 || fe_from_int(q.y, y) < 0)
         return NULL;
     multiples(row, &q, 15);
     batch_normalize(table, row, 15);
-    lu = wnaf(du, u, 4);
-    lv = wnaf(dv, v, 5);
     jp_set_inf(&acc);
-    for (i = (lu > lv ? lu : lv) - 1; i >= 0; i--) {
-        jac_dbl(&acc, &acc);
-        add_digit(&acc, BASE_TABLE[0], du[i]);
-        add_digit(&acc, table, dv[i]);
+    for (i = 63; i >= 0; i--) {
+        for (j = 0; j < 4; j++)
+            jac_dbl(&acc, &acc);
+        d = window(v, i);
+        if (d)
+            jac_add_affine(&acc, &acc, &table[d - 1]);
     }
+    comb_add(&acc, u);
     return jp_to_affine(&acc);
 }
 
@@ -526,12 +488,13 @@ static PyObject *py_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
     static char *kwlist[] = {"k", NULL};
     PyObject *k;
     uint64_t kl[4];
+    JPoint acc;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:base_mult", kwlist, &k)
         || limbs_mod(kl, k, N_INT) < 0)
         return NULL;
-    if (fe_is_zero(kl))
-        Py_RETURN_NONE;
-    return base_mult_limbs(kl);
+    jp_set_inf(&acc);
+    comb_add(&acc, kl);
+    return jp_to_affine(&acc);
 }
 
 static PyObject *py_double_base_mult(PyObject *Py_UNUSED(self), PyObject *args,

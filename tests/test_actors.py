@@ -16,8 +16,14 @@ from tmisim.errors import (
     UnknownPatient,
 )
 from tmisim.messages import (
+    E1Body,
     E2Body,
     E3Body,
+    E4Body,
+    E5Body,
+    E6Body,
+    E7Body,
+    E8Body,
     HupMsg3,
     PupMsg1,
     TpMsg1,
@@ -248,6 +254,16 @@ class TestPhaseOrdering:
         with pytest.raises(RecordIncomplete):
             patient.cp_request(0)
 
+    def test_checkup_unknown_patient(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        _, t = run_hup(hospital, cloud)
+        _, t = run_pup(patient, cloud, t)
+        _, t = run_tp(doctor, cloud, t)
+        honest = patient.cp_request(t + 10)
+        with pytest.raises(UnknownPatient, match="^no record for presented "):
+            cloud.cp_respond(honest.replace(nid=b"wrong-nid"), t + 20)
+        assert not cloud._cp
+
     def test_serial_mismatch(self):
         hospital, patient, doctor, cloud, _ = build_actors()
         _, t = run_hup(hospital, cloud)
@@ -257,6 +273,111 @@ class TestPhaseOrdering:
         wrong = honest.replace(sn=Scalar((honest.sn.value + 1) % 2**255))
         with pytest.raises(SerialMismatch):
             cloud.cp_respond(wrong, t + 20)
+
+
+def _stored_messages():
+    """The message and receive time of each cloud store step in one honest
+    session, by step name."""
+    hospital, patient, doctor, cloud, _ = build_actors()
+    stored = {}
+    for name in ("hup_store", "pup_store", "tp_store", "cp_store"):
+        def recording(msg, now, name=name, step=getattr(cloud, name)):
+            stored[name] = msg, now
+            return step(msg, now)
+        setattr(cloud, name, recording)
+    _, t = run_hup(hospital, cloud)
+    _, t = run_pup(patient, cloud, t)
+    _, t = run_tp(doctor, cloud, t)
+    run_cp(patient, cloud, t)
+    return stored
+
+
+@pytest.mark.parametrize("step, awaited", [
+    ("hup_store", "challenge"), ("pup_store", "upload response"),
+    ("tp_store", "treatment response"), ("cp_store", "checkup response")])
+def test_store_without_an_outstanding_response(step, awaited):
+    # a fresh cloud sent no response, so a fresh final message finds no context
+    msg, now = _stored_messages()[step]
+    cloud = build_actors()[3]
+    with pytest.raises(RecordIncomplete, match=f"^no outstanding {awaited}$"):
+        getattr(cloud, step)(msg, now)
+    assert cloud.db == {}
+
+
+def _forged(key, ct, body_type, digest):
+    """ct's body with its verifier digest zeroed, encrypted again under key."""
+    body = body_type.decode(sym_decrypt(key, ct)).replace(**{digest: bytes(32)})
+    return sym_encrypt(key, body.encode(), SeededRng(99, "forge"))
+
+
+class TestForgedDigests:
+    """A body forged under the right key, with only its verifier digest
+    changed, opens and decodes; the receiver's digest check rejects it
+    before any state changes."""
+
+    def test_challenge_digest_s1(self):
+        hospital, _p, _d, cloud, _ = build_actors()
+        m1 = hospital.hup_init(0)
+        m2 = cloud.hup_challenge(m1, 10)
+        key = derive_key(actors.k1_digest(ID_H, m1.a, m1.t_h1))
+        bad = m2.replace(e1=_forged(key, m2.e1, E1Body, "s1"))
+        with pytest.raises(DigestMismatch, match="^challenge digest S1 mismatch$"):
+            hospital.hup_upload(bad, 20)
+        assert hospital.sk_hc is None
+
+    def test_upload_digest_s4(self):
+        hospital, patient, _d, cloud, _ = build_actors()
+        record, t = run_hup(hospital, cloud)
+        m2 = cloud.pup_respond(patient.pup_request(t + 10), t + 20)
+        m3 = patient.pup_upload(m2, t + 30)
+        bad = m3.replace(e4=_forged(derive_key(record.sn), m3.e4, E4Body, "s4"))
+        with pytest.raises(DigestMismatch, match="^upload digest S4 mismatch$"):
+            cloud.pup_store(bad, t + 40)
+        assert cloud.db[ID_P, NID] == record and cloud.sk_cp is None
+
+    def test_treatment_digest_s5(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        _, t = run_hup(hospital, cloud)
+        record, t = run_pup(patient, cloud, t)
+        m2 = cloud.tp_respond(doctor.tp_request(t + 10), t + 20)
+        bad = m2.replace(e5=_forged(derive_key(record.sn), m2.e5, E5Body, "s5"))
+        with pytest.raises(DigestMismatch, match="^treatment digest S5 mismatch$"):
+            doctor.tp_prescribe(bad, t + 30)
+        assert doctor.sk_dc is None
+
+    def test_treatment_digest_s6(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        _, t = run_hup(hospital, cloud)
+        record, t = run_pup(patient, cloud, t)
+        m2 = cloud.tp_respond(doctor.tp_request(t + 10), t + 20)
+        m3 = doctor.tp_prescribe(m2, t + 30)
+        bad = m3.replace(e6=_forged(derive_key(record.sn), m3.e6, E6Body, "s6"))
+        with pytest.raises(DigestMismatch, match="^treatment digest S6 mismatch$"):
+            cloud.tp_store(bad, t + 40)
+        assert cloud.db[ID_P, NID] == record and cloud.sk_cd is None
+
+    def test_checkup_digest_s7(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        _, t = run_hup(hospital, cloud)
+        _, t = run_pup(patient, cloud, t)
+        _, t = run_tp(doctor, cloud, t)
+        m2 = cloud.cp_respond(patient.cp_request(t + 10), t + 20)
+        bad = m2.replace(e7=_forged(derive_key(patient.sk_pc), m2.e7, E7Body, "s7"))
+        with pytest.raises(DigestMismatch, match="^checkup digest S7 mismatch$"):
+            patient.cp_collect(bad, t + 30)
+        assert patient.recovered is None
+
+    def test_checkup_digest_s8(self):
+        hospital, patient, doctor, cloud, _ = build_actors()
+        _, t = run_hup(hospital, cloud)
+        _, t = run_pup(patient, cloud, t)
+        record, t = run_tp(doctor, cloud, t)
+        m2 = cloud.cp_respond(patient.cp_request(t + 10), t + 20)
+        m3 = patient.cp_collect(m2, t + 30)
+        bad = m3.replace(e8=_forged(derive_key(cloud.sk_cp), m3.e8, E8Body, "s8"))
+        with pytest.raises(DigestMismatch, match="^checkup digest S8 mismatch$"):
+            cloud.cp_store(bad, t + 40)
+        assert cloud.db[ID_P, NID] == record
 
 
 class TestDoctorFailures:

@@ -26,16 +26,10 @@ CARRY_SCALARS = [N - 1, 2**256 - 1, 2**252 - 1,
                  sum(33 << 6 * i for i in range(42))]
 CARRY_SCALARS += [2**(6 * i) + e for i in range(1, 43) for e in (-1, 1)]
 
-# every signed digit of the compiled kernel's two wNAF tables: width 4
-# over G, width 5 over the other point
-G_DIGITS = range(-7, 8, 2)
-Q_DIGITS = range(-15, 16, 2)
 
-
-def _lowest_digit(d, width):
-    """A scalar whose width-`width` NAF starts with digit d: d itself, or
-    2**width + d (digits d, then 1 at bit `width`) for a negative d."""
-    return d if d > 0 else (1 << width) + d
+def _rs(r, s):
+    """The 64-byte r || s signature encoding."""
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
 # ── independent oracle ──────────────────────────────────────────────────
@@ -136,18 +130,23 @@ class TestBackend:
             assert impl.double_base_mult(u, v, q[0], q[1]) == expected, (u, v)
 
     def test_double_base_mult_every_table_digit(self, impl):
-        # each pair of digits is the last pair added; with Q = G or -G
-        # and equal positive digits, the point digit's mixed addition
-        # doubles or folds to infinity
-        q = _affine_mul(random.Random(9).randrange(1, N), (GX, GY))
-        for point in (q, (GX, GY), (GX, P - GY)):
-            for dg in G_DIGITS:
-                for dq in Q_DIGITS:
-                    u, v = _lowest_digit(dg, 4), _lowest_digit(dq, 5)
-                    expected = _affine_add(_affine_mul(u, (GX, GY)),
-                                           _affine_mul(v, point))
-                    assert impl.double_base_mult(u, v, *point) == expected, \
-                        (dg, dq, point)
+        # v = d * 2**252 + d puts digit d in v's top and lowest 4-bit
+        # windows, so each entry k*Q, k = 1..15, of the point's table is
+        # added first, to infinity, and last. The comb then adds u*G, and
+        # its last entry meets the accumulator: with Q = G, u = N - v folds
+        # it to infinity; with Q = -G, u's last entry (16 - d) * 2**252 * G
+        # equals the accumulator (2**256 - N - d * 2**252) * G and doubles.
+        # Each point is given with its discrete log c, so the expected
+        # result is the oracle's (u + c*v)*G.
+        c = random.Random(9).randrange(1, N)
+        q = _affine_mul(c, (GX, GY))
+        for d in range(1, 16):
+            v = (d << 252) + d
+            for point, log, u in ((q, c, v), ((GX, GY), 1, N - v),
+                                  ((GX, P - GY), -1,
+                                   ((16 - d) << 252) + d + 2**256 - N)):
+                expected = _affine_mul((u + log * v) % N, (GX, GY))
+                assert impl.double_base_mult(u, v, *point) == expected, (d, point)
 
     def test_double_base_mult_zero_scalars(self, impl):
         rng = random.Random(7)
@@ -211,6 +210,40 @@ class TestBackend:
             with pytest.raises(TypeError):
                 impl.double_base_mult(k, bad, q[0], q[1])
 
+    def test_verify_accepts_openssl_signatures(self, impl, monkeypatch):
+        # The signature record never holds OpenSSL's signatures, so every
+        # verify call below reaches the kernel: the valid signature, and
+        # the same with one bit flipped in r, in s and in the digest.
+        cec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+        from cryptography.hazmat.primitives import hashes as chashes
+        from cryptography.hazmat.primitives.asymmetric.utils import (
+            Prehashed,
+            decode_dss_signature,
+        )
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return impl.double_base_mult(*args)
+
+        monkeypatch.setattr(backend, "double_base_mult", counted)
+        key = cec.derive_private_key(random.Random(10).randrange(1, N),
+                                     cec.SECP256R1())
+        numbers = key.public_key().public_numbers()
+        public = primitives.GroupPoint(numbers.x, numbers.y)
+        ecdsa = cec.ECDSA(Prehashed(chashes.SHA256()), deterministic_signing=True)
+        for bit in range(5):
+            digest = hashlib.sha256(b"openssl %d" % bit).digest()
+            r, s = decode_dss_signature(key.sign(digest, ecdsa))
+            e = int.from_bytes(digest, "big")
+            assert primitives.verify(public, digest, _rs(r, s))
+            assert not primitives.verify(public, digest, _rs(r ^ 1 << bit, s))
+            assert not primitives.verify(public, digest, _rs(r, s ^ 1 << bit))
+            assert not primitives.verify(public, (e ^ 1 << bit).to_bytes(32, "big"),
+                                         _rs(r, s))
+        assert len(calls) == 5 * 4
+
 
 def test_backend_parity(compiled_kernel):
     compiled = compiled_kernel
@@ -228,13 +261,17 @@ def test_backend_parity(compiled_kernel):
 
 
 def test_base_mult_every_table_entry(compiled_kernel):
-    """d * 16**i has one nonzero 4-bit window, so the compiled base_mult
-    returns its table entry d * 16**i * G itself: all 64 x 15 entries,
-    against the pure kernel."""
-    for i in range(64):
-        for d in range(1, 16):
-            k = d << 4 * i
-            assert compiled_kernel.base_mult(k) == pure.base_mult(k), (i, d)
+    """A scalar with one nonzero window returns that comb entry itself.
+    d * 16**i (d = 1..15, i = 0..63) is each of the compiled kernel's
+    64 x 15 entries, and d * 64**i (d = 1..32, i = 0..42) each of the pure
+    kernel's 43 x 32, except row 42's entries 16..32: there d * 64**i
+    passes 2**256 and reduces mod N. Only a carry reaches entry 16, as in
+    CARRY_SCALARS, and no reduced scalar reads 17..32. Each kernel is
+    checked against the other."""
+    ks = [d << 4 * i for i in range(64) for d in range(1, 16)]
+    ks += [d << 6 * i for i in range(43) for d in range(1, 33)]
+    for k in ks:
+        assert compiled_kernel.base_mult(k) == pure.base_mult(k), hex(k)
 
 
 def test_openssl_cross_check():
