@@ -10,8 +10,10 @@ Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
   most significant first, over the affine multiples ``k * Q`` for
   ``k = 1..15``, built per call with one inversion; the same comb then
   adds ``u * G`` into that accumulator.
-- Inversions use ``pow(z, -1, P)``; a Montgomery batch inversion turns
-  each precomputed table into affine points with one inversion.
+- Two point formulas, ``_dbl`` and ``_add_mixed``, do all the group
+  arithmetic, and one Montgomery batch inversion (``pow(z, -1, P)``
+  once per batch) turns Jacobian points into affine ones: each
+  precomputed table in one batch, and each result as a batch of one.
 
 The comb table is built lazily, once per process; nothing else
 persists between calls. Mathematically correct but makes no attempt
@@ -48,12 +50,6 @@ def is_on_curve(x, y):
 
 
 # ── Jacobian group law (a = -3) ─────────────────────────────────────────
-#
-# The comb below inlines the mixed addition. Its invariant: both
-# functions return the point at infinity as _INF, so it always has
-# X == 0, and a mixed addition sees H == 0 exactly when the accumulator
-# is at infinity or equals the addend up to sign, and defers to
-# _add_mixed.
 
 def _dbl(X1, Y1, Z1):
     if Z1 == 0 or Y1 == 0:
@@ -84,14 +80,6 @@ def _add_mixed(X1, Y1, Z1, x2, y2):
     return X3, Y3, Z1 * H % P
 
 
-def _to_affine(X, Y, Z):
-    if Z == 0:
-        return None
-    zi = pow(Z, -1, P)
-    zi2 = zi * zi % P
-    return X * zi2 % P, Y * zi2 % P * zi % P
-
-
 def _batch_to_affine(points):
     """Affine forms of Jacobian points, none at infinity, with one inversion."""
     prefix = []
@@ -110,11 +98,15 @@ def _batch_to_affine(points):
     return out
 
 
-def _progression(x, y, dx, dy, count):
-    """Jacobian points (x, y) + i*(dx, dy) for i in range(count)."""
+def _to_affine(X, Y, Z):
+    return None if Z == 0 else _batch_to_affine([(X, Y, Z)])[0]
+
+
+def _multiples(x, y, count):
+    """Jacobian points i*(x, y) for i = 1..count."""
     pts = [(x, y, 1)]
     for _ in range(count - 1):
-        pts.append(_add_mixed(*pts[-1], dx, dy))
+        pts.append(_add_mixed(*pts[-1], x, y))
     return pts
 
 
@@ -125,7 +117,7 @@ def _comb_table():
     rows = []
     bx, by = GX, GY
     for _ in range(_COMB_ROWS):
-        row = _progression(bx, by, bx, by, 32)
+        row = _multiples(bx, by, 32)
         # the next row's base, 64 * base, rides along in the inversion
         row = _batch_to_affine(row + [_dbl(*row[-1])])
         bx, by = row.pop()
@@ -139,7 +131,6 @@ def _comb(k, X, Y, Z):
     """Add k*G, for 0 <= k < N, to the Jacobian point (X, Y, Z).
 
     One mixed addition per nonzero signed 6-bit digit and no doublings.
-    The addition is inlined because base_mult is the hot path.
     """
     for row in _comb_table():
         d = k & 63
@@ -152,19 +143,7 @@ def _comb(k, X, Y, Z):
             k += 1
             x2, y2 = row[63 - d]
             y2 = P - y2
-        ZZ = Z * Z % P
-        H = x2 * ZZ % P - X
-        if H == 0:
-            X, Y, Z = _add_mixed(X, Y, Z, x2, y2)
-            continue
-        R = y2 * ZZ % P * Z % P - Y
-        HH = H * H % P
-        HHH = HH * H % P
-        V = X * HH % P
-        X3 = (R * R - HHH - 2 * V) % P
-        Y = (R * (V - X3) - Y * HHH) % P
-        X = X3
-        Z = Z * H % P
+        X, Y, Z = _add_mixed(X, Y, Z, x2, y2)
     return X, Y, Z
 
 
@@ -184,7 +163,7 @@ def double_base_mult(u, v, x, y):
     v %= N
     if u == 0 and v == 0:
         return None
-    table = _batch_to_affine(_progression(x, y, x, y, 15))
+    table = _batch_to_affine(_multiples(x, y, 15))
     X, Y, Z = _INF
     for shift in range(252, -1, -4):
         for _ in range(4):

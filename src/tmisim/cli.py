@@ -23,6 +23,7 @@ import os
 import sys
 
 from . import adversary, sim
+from .actors import VARIANTS
 from .adversary import REVEAL_FAILED, InsiderView, PassiveView
 from .messages import Transcript, parse_json
 from .verifier import verify_transcript
@@ -187,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config_flags(p):
         p.add_argument("--config", help="JSON scenario config file")
         p.add_argument("--seed", type=int, help="scenario seed")
-        p.add_argument("--variant", choices=("A", "B"),
+        p.add_argument("--variant", choices=VARIANTS,
                        help="report-key variant")
         p.add_argument("--delta-t-ms", type=int, dest="delta_t_ms",
                        help="freshness window in milliseconds")

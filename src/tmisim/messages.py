@@ -11,6 +11,7 @@ separate length-prefixed binary layout, decoded against a fixed schema.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, NamedTuple, Optional
@@ -178,20 +179,12 @@ class _Struct:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value, in order, from positional and keyword
-        arguments; a TypeError names a surplus, missing or unknown one."""
-        names = cls.__slots__
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, "
-                            f"got {len(args)} positional arguments")
-        missing = [name for name in names[len(args):] if name not in kwargs]
-        if missing:
-            raise TypeError(f"{cls.__name__}() missing fields {missing}")
-        args += tuple(kwargs.pop(name) for name in names[len(args):])
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated "
-                            f"fields {sorted(kwargs)}")
-        return args
+        """Every field's value, in order, bound as Python binds a call to a
+        function of the fields; a TypeError names a surplus, missing or
+        unknown one."""
+        return inspect.Signature([
+            inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            for name in cls.__slots__]).bind(*args, **kwargs).args
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

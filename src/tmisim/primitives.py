@@ -150,12 +150,9 @@ class GroupPoint:
             raise InvalidPoint("bad point encoding")
         x = int.from_bytes(data[1:], "big")
         p = backend.P
-        if x >= p:
-            raise InvalidPoint("x out of range")
-        rhs = (x * x * x - 3 * x + backend.B) % p
-        y = pow(rhs, (p + 1) // 4, p)  # p = 3 mod 4
-        if y * y % p != rhs:
-            raise InvalidPoint("x is not on the curve")
+        # the square root when one exists (p = 3 mod 4); __init__ refuses an
+        # x out of range or whose right-hand side is not a square
+        y = pow((x * x * x - 3 * x + backend.B) % p, (p + 1) // 4, p)
         if (y & 1) != (data[0] & 1):
             y = p - y
         return cls(x, y)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tmisim import _p256_py as pure
 from tmisim import backend, primitives, sim, verifier
+from tmisim.errors import InvalidPoint
 from tmisim.messages import Transcript, parse_json
 
 P, N, B, GX, GY = pure.P, pure.N, pure.B, pure.GX, pure.GY
@@ -117,9 +118,11 @@ class TestBackend:
             assert impl.double_base_mult(u, v, q[0], q[1]) == expected
 
     def test_double_base_mult_collisions(self, impl):
-        # With Q = +-G and equal top digits, adding v's top digit meets the
-        # accumulator: Q = G takes the doubling branch, Q = -G folds to
-        # infinity there, and where lower digits follow the loop carries on.
+        # v*Q is formed first, then the comb adds u*G one digit per row,
+        # lowest row first. For u = v = 1 or 7 that one digit meets the
+        # accumulator +-v*G: with Q = G the addition takes the doubling
+        # branch, with Q = -G it folds to infinity. The 2**100 and 2**200
+        # cases meet at no addition.
         neg_g = (GX, P - GY)
         cases = [(1, 1, (GX, GY)), (7, 7, (GX, GY)), (7, 7, neg_g),
                  (2**100 + 1, 2**100 + 1, (GX, GY)),
@@ -243,6 +246,22 @@ class TestBackend:
             assert not primitives.verify(public, (e ^ 1 << bit).to_bytes(32, "big"),
                                          _rs(r, s))
         assert len(calls) == 5 * 4
+
+    def test_point_decode_relies_on_the_kernel_check(self, impl, monkeypatch):
+        # GroupPoint.decode builds through __init__, whose kernel curve check
+        # is what refuses an x out of range (x = p, whose residue 0 is a
+        # valid x) or one with no square root (2**256 - 1, 1)
+        monkeypatch.setattr(backend, "is_on_curve", impl.is_on_curve)
+        for x in (P, 2**256 - 1, 1):
+            for prefix in (b"\x02", b"\x03"):
+                with pytest.raises(InvalidPoint):
+                    primitives.GroupPoint.decode(prefix + x.to_bytes(32, "big"))
+        with pytest.raises(InvalidPoint):
+            primitives.GroupPoint.decode(b"\x04" + GX.to_bytes(32, "big"))
+        rng = random.Random(11)
+        for _ in range(10):
+            q = primitives.GroupPoint(*impl.base_mult(rng.randrange(1, N)))
+            assert primitives.GroupPoint.decode(q.encode()) == q
 
 
 def test_backend_parity(compiled_kernel):

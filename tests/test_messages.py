@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 
 from tmisim import messages as msgs
 from tmisim.errors import MalformedMessage, StaleTimestamp
-from tmisim.primitives import Scalar, SeededRng, derive_key, frame, sym_encrypt
+from tmisim.primitives import (
+    NONCE_BYTES,
+    ORDER,
+    TAG_BYTES,
+    Scalar,
+    SeededRng,
+    derive_key,
+    frame,
+    sym_encrypt,
+)
 
 
 def _ct(label=b"ct"):
@@ -19,6 +29,12 @@ def _ct(label=b"ct"):
 
 def _scalar(n=123456789):
     return Scalar(n)
+
+
+def _with_raw_field(value, name, raw):
+    """The binary encoding of `value` with the bytes `raw` as field `name`."""
+    return frame([raw if field == name else msgs._field_to_bytes(getattr(value, field), kind)
+                  for field, kind in value.FIELDS])
 
 
 def _sample(cls):
@@ -120,19 +136,36 @@ class TestEncryptedBodies:
 
     @pytest.mark.parametrize("cls", _BODIES, ids=lambda c: c.__name__)
     def test_truncation_rejected(self, cls):
+        sample = _sample(cls)
         with pytest.raises(MalformedMessage):
-            cls.decode(_sample(cls).encode()[:-1])
+            cls.decode(sample.encode()[:-1])
+        # a ciphertext field too short to hold its nonce and tag
+        for name, kind in cls.FIELDS:
+            if kind == "ciphertext":
+                raw = getattr(sample, name).encode()[:NONCE_BYTES + TAG_BYTES - 1]
+                with pytest.raises(MalformedMessage, match="bad ciphertext field"):
+                    cls.decode(_with_raw_field(sample, name, raw))
 
 
 @pytest.mark.parametrize("cls", [c for c in _BODIES + msgs.WIRE_MESSAGES
                                  if msgs.field_of_kind(c, "scalar")],
                          ids=lambda c: c.__name__)
 def test_zero_scalar_rejected(cls):
-    """A zero scalar, on the wire or inside a ciphertext, is malformed."""
+    """A scalar that is zero, not below the group order or not 32 bytes long,
+    in a binary body or in a transcript line, is malformed."""
+    sample = _sample(cls)
     for name, kind in cls.FIELDS:
-        if kind == "scalar":
+        if kind != "scalar":
+            continue
+        for raw in (bytes(32), ORDER.to_bytes(32, "big"), b"\xff" * 32,
+                    getattr(sample, name).to_bytes()[1:]):
             with pytest.raises(MalformedMessage, match="bad scalar field"):
-                cls.decode(_sample(cls).replace(**{name: Scalar(0)}).encode())
+                cls.decode(_with_raw_field(sample, name, raw))
+            if cls in msgs.WIRE_MESSAGES:
+                record = json.loads(msgs.serialize(msgs.make_channel_message(sample, 40)))
+                record["fields"][name] = raw.hex()
+                with pytest.raises(MalformedMessage, match=f"bad scalar value for {name}"):
+                    msgs.deserialize(json.dumps(record).encode())
 
 
 @pytest.mark.parametrize("cls", _BODIES + msgs.WIRE_MESSAGES, ids=lambda c: c.__name__)
