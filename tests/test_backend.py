@@ -5,6 +5,7 @@ coordinates with per-step modular inversions - it shares no code with
 either backend's Jacobian/windowed paths.
 """
 
+import functools
 import hashlib
 import random
 
@@ -19,12 +20,19 @@ from tmisim.messages import Transcript, parse_json
 
 P, N, B, GX, GY = pure.P, pure.N, pure.B, pure.GX, pure.GY
 
-# Scalars whose signed 6-bit window recoding carries: N - 1 and 2**256 - 1
-# (which reduces below N), runs of all-ones windows that carry up through
-# every row, windows at the +-32 digit boundary, and 2**(6*i) +- 1.
-CARRY_SCALARS = [N - 1, 2**256 - 1, 2**252 - 1,
-                 sum(32 << 6 * i for i in range(42)),
-                 sum(33 << 6 * i for i in range(42))]
+# Scalars whose signed window recoding carries. For the pure kernel's 8-bit
+# digits: N - 1 and 2**256 - 1 (which reduces below N), whose top byte
+# carries into the 33rd row; runs of all-ones bytes that carry up through
+# every row; bytes at the 128/129 digit boundary in every row; and
+# 2**(8*i) +- 1. The same cases for 6-bit windows stay as oracle inputs.
+CARRY_SCALARS = [N - 1, 2**256 - 1, 2**248 - 1,
+                 sum(0xFF << 16 * i for i in range(16)),
+                 sum(128 << 8 * i for i in range(32)),
+                 sum(129 << 8 * i for i in range(32))]
+CARRY_SCALARS += [2**(8 * i) + e for i in range(1, 33) for e in (-1, 1)]
+CARRY_SCALARS += [2**252 - 1,
+                  sum(32 << 6 * i for i in range(42)),
+                  sum(33 << 6 * i for i in range(42))]
 CARRY_SCALARS += [2**(6 * i) + e for i in range(1, 43) for e in (-1, 1)]
 
 
@@ -60,6 +68,12 @@ def _affine_mul(k, point):
         point = _affine_add(point, point)
         k >>= 1
     return acc
+
+
+@functools.cache
+def _oracle_base_mult(k):
+    """k*G by the oracle, computed once for both kernels."""
+    return _affine_mul(k, (GX, GY))
 
 
 # base-point multiples from an OpenSSL run, frozen
@@ -99,7 +113,7 @@ class TestBackend:
         ks = [1, 2, 15, 16, 17, N - 1, N - 2, 2**255 + 99]
         ks += [rng.randrange(1, N) for _ in range(20)]
         for k in ks + CARRY_SCALARS:
-            assert impl.base_mult(k) == _affine_mul(k, (GX, GY)), hex(k)
+            assert impl.base_mult(k) == _oracle_base_mult(k), hex(k)
 
     def test_scalar_mult_matches_oracle(self, impl):
         # k*Q is double_base_mult with u = 0 on both kernels
@@ -132,15 +146,32 @@ class TestBackend:
             expected = _affine_add(_affine_mul(u, (GX, GY)), _affine_mul(v, q))
             assert impl.double_base_mult(u, v, q[0], q[1]) == expected, (u, v)
 
-    def test_double_base_mult_every_table_digit(self, impl):
+    def test_double_base_mult_every_table_digit(self, impl, monkeypatch):
         # v = d * 2**252 + d puts digit d in v's top and lowest 4-bit
         # windows, so each entry k*Q, k = 1..15, of the point's table is
         # added first, to infinity, and last. The comb then adds u*G, and
-        # its last entry meets the accumulator: with Q = G, u = N - v folds
-        # it to infinity; with Q = -G, u's last entry (16 - d) * 2**252 * G
-        # equals the accumulator (2**256 - N - d * 2**252) * G and doubles.
-        # Each point is given with its discrete log c, so the expected
-        # result is the oracle's (u + c*v)*G.
+        # its last entry can meet the accumulator: with Q = G, u = N - v
+        # folds it to infinity; with Q = -G, u is (16 - d) * 2**252 + d plus
+        # 2**256 - N, whose lower bytes carry into byte 28, and the
+        # accumulator before u's top byte is (16 - d) * 2**252 * G. The
+        # compiled 4-bit comb adds exactly that as row 63's entry 16 - d
+        # and doubles. In the pure 8-bit comb the top byte is the digit
+        # (16 - d) * 16: for d = 8..15 it is at most 128, its entry equals
+        # the accumulator and _add_mixed takes its doubling branch, one
+        # _dbl beyond v's 256 window doublings; for d = 1..7 it recodes to
+        # the negative digit -16 * d, which meets nothing. Each point is
+        # given with its discrete log c, so the expected result is the
+        # oracle's (u + c*v)*G.
+        doublings = []
+        if impl is pure:
+            pure._comb_table()  # its build doubles too; count only the call
+            dbl = pure._dbl
+
+            def counted(*point):
+                doublings[-1] += 1
+                return dbl(*point)
+
+            monkeypatch.setattr(pure, "_dbl", counted)
         c = random.Random(9).randrange(1, N)
         q = _affine_mul(c, (GX, GY))
         for d in range(1, 16):
@@ -148,8 +179,11 @@ class TestBackend:
             for point, log, u in ((q, c, v), ((GX, GY), 1, N - v),
                                   ((GX, P - GY), -1,
                                    ((16 - d) << 252) + d + 2**256 - N)):
+                doublings.append(0)
                 expected = _affine_mul((u + log * v) % N, (GX, GY))
                 assert impl.double_base_mult(u, v, *point) == expected, (d, point)
+            if impl is pure:
+                assert doublings[-3:] == [256, 256, 256 + (d >= 8)], d
 
     def test_double_base_mult_zero_scalars(self, impl):
         rng = random.Random(7)
@@ -264,6 +298,40 @@ class TestBackend:
             assert primitives.GroupPoint.decode(q.encode()) == q
 
 
+def test_inverses_match_pow():
+    rng = random.Random(12)
+    for values in ([rng.randrange(1, P)], [1, P - 1, 2, -3, P + 5],
+                   [rng.randrange(1, P) for _ in range(20)]):
+        assert pure._inverses(values) == [pow(v, -1, P) for v in values]
+    with pytest.raises(ValueError):
+        pure._inverses([5, P, 7])
+
+
+def test_affine_sums_match_oracle():
+    # random pairs, two p == q pairs, which take the doubling slope and
+    # differ by infinity, and -G with 2G; then a batch of one
+    rng = random.Random(13)
+    points = [_affine_mul(rng.randrange(1, N), (GX, GY)) for _ in range(8)]
+    ps = points[:7] + [points[0], (GX, GY), (GX, P - GY)]
+    qs = points[1:] + [points[0], (GX, GY), _affine_mul(2, (GX, GY))]
+    sums = [_affine_add(p, q) for p, q in zip(ps, qs)]
+    diffs = [_affine_add(p, (q[0], P - q[1])) for p, q in zip(ps, qs)]
+    assert pure._affine_sums(ps, qs) == (sums, diffs)
+    assert pure._affine_sums(ps[-3:-2], qs[-3:-2]) == (sums[-3:-2], diffs[-3:-2])
+    # a pair that sums to infinity has no slope
+    with pytest.raises(ValueError):
+        pure._affine_sums([(GX, GY)], [(GX, P - GY)])
+
+
+def test_multiple_rows_match_oracle():
+    # double_base_mult's 15, which stops inside a round, and 16, for two rows
+    bases = [(GX, GY), _affine_mul(random.Random(14).randrange(1, N), (GX, GY))]
+    for count in (15, 16):
+        rows = pure._multiple_rows(bases, count)
+        assert rows == [[_affine_mul(j, b) for j in range(1, count + 1)]
+                        for b in bases], count
+
+
 def test_backend_parity(compiled_kernel):
     compiled = compiled_kernel
     rng = random.Random(4)
@@ -280,15 +348,15 @@ def test_backend_parity(compiled_kernel):
 
 
 def test_base_mult_every_table_entry(compiled_kernel):
-    """A scalar with one nonzero window returns that comb entry itself.
+    """A scalar with one nonzero digit returns that comb entry itself.
     d * 16**i (d = 1..15, i = 0..63) is each of the compiled kernel's
-    64 x 15 entries, and d * 64**i (d = 1..32, i = 0..42) each of the pure
-    kernel's 43 x 32, except row 42's entries 16..32: there d * 64**i
-    passes 2**256 and reduces mod N. Only a carry reaches entry 16, as in
-    CARRY_SCALARS, and no reduced scalar reads 17..32. Each kernel is
-    checked against the other."""
+    64 x 15 entries, and d * 256**i (d = 1..128, i = 0..31) each of the
+    pure kernel's 32 x 128. The pure kernel's 33rd row, 256**32 * G, is
+    reached only by a carry out of a top byte of 129 or more, as in N - 1.
+    Each kernel is checked against the other."""
     ks = [d << 4 * i for i in range(64) for d in range(1, 16)]
-    ks += [d << 6 * i for i in range(43) for d in range(1, 33)]
+    ks += [d << 8 * i for i in range(32) for d in range(1, 129)]
+    ks.append(N - 1)
     for k in ks:
         assert compiled_kernel.base_mult(k) == pure.base_mult(k), hex(k)
 
