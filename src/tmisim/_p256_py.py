@@ -229,10 +229,15 @@ def double_base_mult(u, v, x, y):
 
     v*(x, y) by unsigned 4-bit windows over a per-call affine table of
     the point's multiples 1..15, most significant window first; u*G is
-    then added by the fixed-base comb.
+    then added by the fixed-base comb. Raises ValueError if
+    (x mod P, y mod P) is not on the curve.
     """
     u %= N
     v %= N
+    x %= P
+    y %= P
+    if not is_on_curve(x, y):
+        raise ValueError("point is not on the curve")
     if u == 0 and v == 0:
         return None
     table = _multiple_rows([(x, y)], 15)[0]

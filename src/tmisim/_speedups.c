@@ -15,8 +15,9 @@
    comb_add is that loop. double_base_mult computes v * Q by unsigned
    4-bit windows, most significant first, over a per-call table of Q's
    multiples 1..15, then lets comb_add add u * G into the same
-   accumulator. Results equal those of tmisim._p256_py, so the two
-   backends are interchangeable behind tmisim.backend.
+   accumulator; it raises ValueError for a point off the curve. Results
+   equal those of tmisim._p256_py, so the two backends are
+   interchangeable behind tmisim.backend.
 
    Only the limited C API of Python 3.10 is used: integers cross it
    through int.to_bytes and int.from_bytes. */
@@ -415,17 +416,15 @@ static void comb_add(JPoint *acc, const uint64_t *k)
     }
 }
 
-/* u * G + v * (x, y): v by unsigned 4-bit windows over the point's
-   multiples 1..15, most significant window first, then u by the comb */
+/* u * G + v * q: v by unsigned 4-bit windows over q's multiples 1..15,
+   most significant window first, then u by the comb */
 static PyObject *double_base_mult_limbs(const uint64_t *u, const uint64_t *v,
-                                        PyObject *x, PyObject *y)
+                                        const APoint *q)
 {
     JPoint row[15], acc;
-    APoint q, table[15];
+    APoint table[15];
     int i, j, d;
-    if (fe_from_int(q.x, x) < 0 || fe_from_int(q.y, y) < 0)
-        return NULL;
-    multiples(row, &q, 15);
+    multiples(row, q, 15);
     batch_normalize(table, row, 15);
     jp_set_inf(&acc);
     for (i = 63; i >= 0; i--) {
@@ -454,12 +453,25 @@ static int in_field(PyObject *v)
     return ok == 1 ? PyObject_RichCompareBool(v, P_INT, Py_LT) : ok;
 }
 
+/* y^2 == x^3 - 3x + b for a point in Montgomery form */
+static int on_curve(const APoint *q)
+{
+    uint64_t t0[4], t1[4];
+    fe_mul(t0, q->x, q->x);
+    fe_mul(t0, t0, q->x);       /* x^3 */
+    fe_mul(t1, THREE_M, q->x);  /* 3x */
+    fe_sub(t0, t0, t1);
+    fe_add(t0, t0, B_M);        /* x^3 - 3x + b */
+    fe_mul(t1, q->y, q->y);
+    return fe_eq(t0, t1);
+}
+
 static PyObject *py_is_on_curve(PyObject *Py_UNUSED(self), PyObject *args,
                                 PyObject *kwargs)
 {
     static char *kwlist[] = {"x", "y", NULL};
     PyObject *x, *y;
-    uint64_t xm[4], ym[4], t0[4], t1[4];
+    APoint q;
     int ok;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:is_on_curve", kwlist,
                                      &x, &y))
@@ -471,15 +483,9 @@ static PyObject *py_is_on_curve(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     if (!ok)
         Py_RETURN_FALSE;
-    if (fe_from_int(xm, x) < 0 || fe_from_int(ym, y) < 0)
+    if (fe_from_int(q.x, x) < 0 || fe_from_int(q.y, y) < 0)
         return NULL;
-    fe_mul(t0, xm, xm);
-    fe_mul(t0, t0, xm);       /* x^3 */
-    fe_mul(t1, THREE_M, xm);  /* 3x */
-    fe_sub(t0, t0, t1);
-    fe_add(t0, t0, B_M);      /* x^3 - 3x + b */
-    fe_mul(t1, ym, ym);
-    return PyBool_FromLong(fe_eq(t0, t1));
+    return PyBool_FromLong(on_curve(&q));
 }
 
 static PyObject *py_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
@@ -503,14 +509,20 @@ static PyObject *py_double_base_mult(PyObject *Py_UNUSED(self), PyObject *args,
     static char *kwlist[] = {"u", "v", "x", "y", NULL};
     PyObject *u, *v, *x, *y;
     uint64_t ul[4], vl[4];
+    APoint q;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:double_base_mult",
                                      kwlist, &u, &v, &x, &y)
         || limbs_mod(ul, u, N_INT) < 0
-        || limbs_mod(vl, v, N_INT) < 0)
+        || limbs_mod(vl, v, N_INT) < 0
+        || fe_from_int(q.x, x) < 0 || fe_from_int(q.y, y) < 0)
         return NULL;
+    if (!on_curve(&q)) {
+        PyErr_SetString(PyExc_ValueError, "point is not on the curve");
+        return NULL;
+    }
     if (fe_is_zero(ul) && fe_is_zero(vl))
         Py_RETURN_NONE;
-    return double_base_mult_limbs(ul, vl, x, y);
+    return double_base_mult_limbs(ul, vl, &q);
 }
 
 #define KW_METHOD(name, doc) \

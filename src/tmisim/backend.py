@@ -13,10 +13,10 @@ Both backends expose the same module-level API:
 
 plus the curve constants ``P``, ``N``, ``B``, ``GX``, ``GY``. The
 variable-base :func:`scalar_mult` is ``double_base_mult`` with ``u = 0``.
-The ``(x, y)`` given to either must be a point on the curve, as every
-``primitives.GroupPoint`` is; neither kernel checks it, and off the
-curve they differ (for ``(0, 0)`` the compiled kernel returns an
-arbitrary point and the pure one raises).
+Coordinates reduce mod ``P``; ``double_base_mult`` raises ``ValueError``
+on both kernels when the reduced ``(x, y)`` is off the curve. Every
+``primitives.GroupPoint`` passed ``is_on_curve`` when it was made, so
+the protocol never reaches that error.
 """
 
 import os

@@ -146,8 +146,20 @@ class GroupPoint:
 
     @classmethod
     def decode(cls, data: bytes) -> "GroupPoint":
+        """The point whose SEC 1 compressed encoding is ``data``.
+
+        A :class:`KeyPair`'s public key is read from the record its
+        constructor keeps, which building a session empties: compression
+        is injective on the curve, and that point passed the curve check
+        when it was made. Any other encoding takes the square root and the
+        curve check in ``__init__``, which refuses an x out of range or
+        with no root.
+        """
         if len(data) != POINT_BYTES or data[0] not in (0x02, 0x03):
             raise InvalidPoint("bad point encoding")
+        point = _published.get(bytes(data))
+        if point is not None:
+            return point
         x = int.from_bytes(data[1:], "big")
         p = backend.P
         # the square root when one exists (p = 3 mod 4); __init__ refuses an
@@ -226,7 +238,9 @@ class KeyPair:
     public: GroupPoint = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "public", ec_base_mul(self.private))
+        public = ec_base_mul(self.private)
+        object.__setattr__(self, "public", public)
+        _published[public.encode()] = public
 
     @classmethod
     def generate(cls, rng: SeededRng) -> "KeyPair":
@@ -237,6 +251,13 @@ class KeyPair:
         sig = sign(self.private, digest)
         _signed.add((self.public.x, self.public.y, bytes(digest), sig))
         return sig
+
+
+# Each KeyPair's public point under its compressed encoding, for
+# GroupPoint.decode: public values only, each one on the curve. Shared
+# points and other values derived from a secret never enter it. Building
+# a sim._Session empties it and the session's forks share it.
+_published: dict = {}
 
 
 # ── hashing and key derivation ──────────────────────────────────────────
@@ -310,12 +331,16 @@ class Ciphertext:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        out += hashlib.sha256(enc_key + nonce + block.to_bytes(8, "big")).digest()
-        block += 1
-    return bytes(out[:length])
+    """``length`` bytes of SHA-256(enc_key || nonce || counter), the counter
+    8 bytes big-endian from 0. The key and nonce are hashed once, and each
+    block continues a copy of that state."""
+    head = hashlib.sha256(enc_key + nonce)
+    blocks = []
+    for block in range((length + DIGEST_BYTES - 1) // DIGEST_BYTES):
+        h = head.copy()
+        h.update(block.to_bytes(8, "big"))
+        blocks.append(h.digest())
+    return b"".join(blocks)[:length]
 
 
 def _subkey(key: bytes, label: bytes) -> bytes:

@@ -192,9 +192,11 @@ class _Session:
     """One session, advanced one transmission at a time by :meth:`step`."""
 
     def __init__(self, cfg: ScenarioConfig):
-        # the signature record and the shared-point memo serve this session
-        # and its forks (fork() runs no __init__), never another session
+        # the signature and public-key records and the shared-point memo
+        # serve this session and its forks (fork() runs no __init__), never
+        # another session
         primitives._signed.clear()
+        primitives._published.clear()
         primitives._dh.cache_clear()
         self.cfg = cfg
         master = SeededRng(cfg.seed, "session")

@@ -247,6 +247,18 @@ class TestBackend:
             with pytest.raises(TypeError):
                 impl.double_base_mult(k, bad, q[0], q[1])
 
+    def test_off_curve_point_raises(self, impl):
+        # (0, 0) and (GX, GY + 1) are off the curve, and both kernels
+        # refuse them even when both scalars are zero; (GX, GY + P)
+        # reduces to G, so it is an on-curve input
+        for x, y in ((0, 0), (GX, GY + 1)):
+            for u, v in ((0, 0), (0, 7), (5, 7)):
+                with pytest.raises(ValueError):
+                    impl.double_base_mult(u, v, x, y)
+        expected = _affine_mul(5 + 7, (GX, GY))
+        assert impl.double_base_mult(5, 7, GX, GY + P) == expected
+        assert impl.double_base_mult(0, 0, GX, GY + P) is None
+
     def test_verify_accepts_openssl_signatures(self, impl, monkeypatch):
         # The signature record never holds OpenSSL's signatures, so every
         # verify call below reaches the kernel: the valid signature, and
@@ -284,14 +296,19 @@ class TestBackend:
     def test_point_decode_relies_on_the_kernel_check(self, impl, monkeypatch):
         # GroupPoint.decode builds through __init__, whose kernel curve check
         # is what refuses an x out of range (x = p, whose residue 0 is a
-        # valid x) or one with no square root (2**256 - 1, 1)
+        # valid x) or one with no square root (2**256 - 1, 1). With the
+        # public-key record empty, as in a fresh process, every encoding
+        # takes that path.
         monkeypatch.setattr(backend, "is_on_curve", impl.is_on_curve)
+        monkeypatch.setattr(primitives, "_published", {})
         for x in (P, 2**256 - 1, 1):
             for prefix in (b"\x02", b"\x03"):
                 with pytest.raises(InvalidPoint):
                     primitives.GroupPoint.decode(prefix + x.to_bytes(32, "big"))
-        with pytest.raises(InvalidPoint):
-            primitives.GroupPoint.decode(b"\x04" + GX.to_bytes(32, "big"))
+        g = primitives.GroupPoint(GX, GY).encode()
+        for bad in (b"\x04" + g[1:], b"\x00" + g[1:], g[:32], g + b"\x00", b""):
+            with pytest.raises(InvalidPoint):
+                primitives.GroupPoint.decode(bad)
         rng = random.Random(11)
         for _ in range(10):
             q = primitives.GroupPoint(*impl.base_mult(rng.randrange(1, N)))

@@ -80,18 +80,28 @@ class TestDeriveKey:
 # ── symmetric cipher ────────────────────────────────────────────────────
 
 # Reference AEAD: the earlier implementation, which derived both subkeys
-# before checking the tag and XORed byte by byte. The current one must
-# produce and accept exactly the same bytes.
+# before checking the tag, hashed key, nonce and counter afresh for each
+# keystream block and XORed byte by byte. The current one must produce
+# and accept exactly the same bytes.
 def _ref_subkeys(key):
     return (hmac.new(key, b"enc", hashlib.sha256).digest(),
             hmac.new(key, b"mac", hashlib.sha256).digest())
+
+
+def _ref_keystream(enc_key, nonce, length):
+    out = b""
+    block = 0
+    while len(out) < length:
+        out += hashlib.sha256(enc_key + nonce + block.to_bytes(8, "big")).digest()
+        block += 1
+    return out[:length]
 
 
 def _ref_sym_encrypt(key, plaintext, rng):
     enc_key, mac_key = _ref_subkeys(key)
     nonce = rng.take(pr.NONCE_BYTES)
     body = bytes(a ^ b for a, b in
-                 zip(plaintext, pr._keystream(enc_key, nonce, len(plaintext))))
+                 zip(plaintext, _ref_keystream(enc_key, nonce, len(plaintext))))
     tag = hmac.new(mac_key, nonce + body, hashlib.sha256).digest()
     return pr.Ciphertext(nonce=nonce, body=body, tag=tag)
 
@@ -102,7 +112,7 @@ def _ref_sym_decrypt(key, ct):
     if not hmac.compare_digest(expected, ct.tag):
         raise AuthFailure("ciphertext failed authentication")
     return bytes(a ^ b for a, b in
-                 zip(ct.body, pr._keystream(enc_key, ct.nonce, len(ct.body))))
+                 zip(ct.body, _ref_keystream(enc_key, ct.nonce, len(ct.body))))
 
 
 class TestHmac:
@@ -181,6 +191,29 @@ class TestSymCipher:
             "26")
         assert ct == _ref_sym_encrypt(key, plaintext, pr.SeededRng(7, "kat"))
         assert pr.sym_decrypt(key, ct) == plaintext
+
+    # SHA-256 of the wire bytes for plaintexts around the 32-byte keystream
+    # block and the 2048-byte length, recorded from the per-block keystream
+    AEAD_KAT = {
+        0: "e6c479d36762affb4999ae419887f1a79937c47458db83898b06fac5eeb69eb4",
+        1: "c610b7f36f98ad90d12ca6addbc3457c13a3686014cfa64229ace21eab0e32b2",
+        31: "349a574b5f12d4535c351b64a7bcea1a0f07201cb7300c67e09adfb605636fe0",
+        32: "38b02f008396163c6cbe3e3e2d1cd51becede4bb86adab632acf683f143e0ff5",
+        33: "67424539e5f0e5ee60e5f94a67d8989442670f4019ae788cfd2da123d248c9b9",
+        2047: "f9de82edc8ec7da41260ed9f951c6449c29eda1034c156785c11284c59b03f5c",
+        2048: "4f5eebaf7d7ecd073b3b1048a9839e09d336a0056a72a62f4bc46f4b90562462",
+        2049: "ed636f5884c9848baf5b816254e868839b2dca79400eb3e383904dbe3d6388d2",
+        5000: "04f8c3428d76cab7c25cb93536f9fea5d243c220f4ff488a1e6b2bd7a304cc04",
+    }
+
+    @pytest.mark.parametrize("length", sorted(AEAD_KAT))
+    def test_known_answers_by_length(self, length):
+        key = hashlib.sha256(b"tmisim aead kat").digest()
+        plaintext = bytes(i * 7 % 256 for i in range(length))
+        ct = pr.sym_encrypt(key, plaintext, pr.SeededRng(31, "aead-kat"))
+        assert hashlib.sha256(ct.encode()).hexdigest() == self.AEAD_KAT[length]
+        assert pr.sym_decrypt(key, ct) == plaintext
+        assert pr.sym_decrypt(pr.SymKey(key), ct) == plaintext
 
     def test_ciphertext_encoding_roundtrip(self):
         key = pr.derive_key(hashlib.sha256(b"k").digest())
@@ -276,6 +309,24 @@ class TestGroupOps:
         for _ in range(20):
             q = pr.ec_base_mul(pr.random_scalar(rng))
             assert pr.GroupPoint.decode(q.encode()) == q
+
+    def test_recorded_key_decodes_without_a_curve_check(self, monkeypatch):
+        """A KeyPair's public key decodes to the recorded point with no
+        square root and no curve check; a point from ec_base_mul, which no
+        KeyPair made, is not recorded and takes the checked path."""
+        kp = pr.KeyPair.generate(_rng(label="published"))
+        other = pr.ec_base_mul(pr.random_scalar(_rng(label="unpublished")))
+        checks = []
+        on_curve = pr.backend.is_on_curve
+        monkeypatch.setattr(pr.backend, "is_on_curve",
+                            lambda x, y: checks.append((x, y)) or on_curve(x, y))
+        decoded = pr.GroupPoint.decode(kp.public.encode())
+        assert decoded == kp.public and checks == []
+        assert pr.GroupPoint.decode(bytearray(kp.public.encode())) == kp.public
+        assert checks == []
+        assert pr._published.get(other.encode()) is None
+        assert pr.GroupPoint.decode(other.encode()) == other
+        assert checks == [(other.x, other.y)]
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(InvalidPoint):

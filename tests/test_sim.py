@@ -759,6 +759,32 @@ class TestOpCounts:
             assert primitives.verify(GroupPoint(x, y), digest, sig)
         assert len(calls) == 3
 
+    def test_the_public_key_record_holds_one_session_keys(self, monkeypatch):
+        """A session records its three KeyPairs' public keys and nothing
+        else, so no shared point; the registry round trip decodes all three
+        from the record with no curve check. Forks run on the same record,
+        and building the next session empties it."""
+        sim._checkpoints.cache_clear()
+        base = ScenarioConfig(seed=70)
+        outcome = run_full_session(base)
+        d = outcome.directory
+        keys = {pk.encode(): pk for pk in (d.pk_h, d.pk_p, d.pk_d)}
+        assert len(keys) == 3 and primitives._published == keys
+        checks = []
+        on_curve = backend.is_on_curve
+        monkeypatch.setattr(backend, "is_on_curve",
+                            lambda x, y: checks.append((x, y)) or on_curve(x, y))
+        registry = sim.registry_from_dict(sim.registry_to_dict(outcome))
+        assert [registry[k] for k in ("pk_h", "pk_p", "pk_d")] == list(keys.values())
+        assert checks == []
+        monkeypatch.undo()
+        assert run_full_session(_faulted(base, FaultInjection(7, "tamper", offset=3))).abort
+        assert sim._checkpoints.cache_info().misses == 1
+        assert primitives._published == keys
+        sim._Session(ScenarioConfig(seed=71))
+        assert len(primitives._published) == 3
+        assert not primitives._published.keys() & keys.keys()
+
     def test_a_rerun_session_computes_its_shared_points_again(self):
         """The shared-point memo lives for one session: running the same
         session again misses on each of its four points again."""

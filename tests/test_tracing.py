@@ -54,9 +54,12 @@ def test_install_and_restore(tracing, modules):
 
 def test_registry_round_trip_records_its_point_decodes(tracing, modules):
     """The schema codec decodes a point through the class attribute, so the
-    wrapper on GroupPoint.decode sees the registry's three public keys."""
+    wrapper on GroupPoint.decode sees the registry's three public keys.
+    With the public-key record emptied, as in a fresh process, each decode
+    makes its curve check."""
     sim = modules.sim
     data = sim.registry_to_dict(sim.run_full_session(sim.ScenarioConfig(seed=5)))
+    modules.primitives._published.clear()
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
