@@ -27,9 +27,10 @@ Database (https://hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-3.html).
 
 The comb table is built lazily, once per process; nothing else
 persists between calls. Mathematically correct but makes no attempt
-at constant-time execution; the compiled kernel in ``tmisim._speedups``
-is the fast path and this module is what the package falls back to when
-that extension is unavailable.
+at constant-time execution; the compiled kernel in ``tmisim._p256_ossl``
+(OpenSSL's libcrypto) is the fast path and this module is what the
+package falls back to when libcrypto cannot be loaded. It is also the
+reference the tests hold that kernel to.
 
 Points cross this API as affine ``(x, y)`` integer pairs; ``None``
 stands for the point at infinity (callers in this package never feed

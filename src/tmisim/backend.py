@@ -1,9 +1,10 @@
 """Elliptic-curve backend selection.
 
-The compiled kernel (``tmisim._speedups``) is preferred and the pure
-Python module (``tmisim._p256_py``) is the fallback, chosen once at
-import. ``TMISIM_EC_BACKEND=pure|compiled`` forces a choice (the
-benchmark and the parity tests rely on this, and on :func:`use`).
+The compiled kernel (``tmisim._p256_ossl``, OpenSSL's libcrypto through
+``ctypes``) is preferred and the pure Python module
+(``tmisim._p256_py``) is the fallback, chosen once at import.
+``TMISIM_EC_BACKEND=pure|compiled`` forces a choice (the benchmark and
+the parity tests rely on this, and on :func:`use`).
 
 Both backends expose the same module-level API:
 
@@ -24,9 +25,10 @@ import os
 from . import _p256_py
 
 try:
-    from . import _speedups
-except ImportError:  # extension not built
-    _speedups = None
+    from . import _p256_ossl as _compiled
+    _compiled_error = None
+except (ImportError, OSError, AttributeError) as exc:  # no usable libcrypto
+    _compiled, _compiled_error = None, exc
 
 P = _p256_py.P
 N = _p256_py.N
@@ -39,7 +41,7 @@ _active = None
 
 def available_backends():
     names = ["pure"]
-    if _speedups is not None:
+    if _compiled is not None:
         names.insert(0, "compiled")
     return names
 
@@ -50,9 +52,9 @@ def use(name):
     if name == "pure":
         _active = _p256_py
     elif name == "compiled":
-        if _speedups is None:
-            raise RuntimeError("compiled backend is not available")
-        _active = _speedups
+        if _compiled is None:
+            raise RuntimeError(f"compiled backend is not available: {_compiled_error}")
+        _active = _compiled
     else:
         raise ValueError(f"unknown backend {name!r}")
     return _active
@@ -82,4 +84,4 @@ _forced = os.environ.get("TMISIM_EC_BACKEND")
 if _forced:
     use(_forced)
 else:
-    use("compiled" if _speedups is not None else "pure")
+    use("compiled" if _compiled is not None else "pure")

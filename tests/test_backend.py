@@ -8,6 +8,8 @@ either backend's Jacobian/windowed paths.
 import functools
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,13 @@ GOLDEN_BASE = {
 }
 
 
+def _assert_no_library_error(impl):
+    """libcrypto's error queue is empty, read through the compiled kernel's
+    own handle: a refusal must not leave an error for the next caller."""
+    if impl is not pure:
+        assert impl._lib.ERR_peek_error() == 0
+
+
 # what each kernel exports: the protocol runs only these three operations
 KERNEL_API = {"B", "BACKEND", "GX", "GY", "N", "P",
               "base_mult", "double_base_mult", "is_on_curve"}
@@ -148,18 +157,17 @@ class TestBackend:
 
     def test_double_base_mult_every_table_digit(self, impl, monkeypatch):
         # v = d * 2**252 + d puts digit d in v's top and lowest 4-bit
-        # windows, so each entry k*Q, k = 1..15, of the point's table is
-        # added first, to infinity, and last. The comb then adds u*G, and
-        # its last entry can meet the accumulator: with Q = G, u = N - v
-        # folds it to infinity; with Q = -G, u is (16 - d) * 2**252 + d plus
-        # 2**256 - N, whose lower bytes carry into byte 28, and the
-        # accumulator before u's top byte is (16 - d) * 2**252 * G. The
-        # compiled 4-bit comb adds exactly that as row 63's entry 16 - d
-        # and doubles. In the pure 8-bit comb the top byte is the digit
-        # (16 - d) * 16: for d = 8..15 it is at most 128, its entry equals
-        # the accumulator and _add_mixed takes its doubling branch, one
-        # _dbl beyond v's 256 window doublings; for d = 1..7 it recodes to
-        # the negative digit -16 * d, which meets nothing. Each point is
+        # windows, so each entry k*Q, k = 1..15, of the pure kernel's
+        # per-call table is added first, to infinity, and last. The comb
+        # then adds u*G, and its last entry can meet the accumulator: with
+        # Q = G, u = N - v folds it to infinity; with Q = -G, u is
+        # (16 - d) * 2**252 + d plus 2**256 - N, whose lower bytes carry
+        # into byte 28, and the accumulator before u's top byte is
+        # (16 - d) * 2**252 * G. In the 8-bit comb that top byte is the
+        # digit (16 - d) * 16: for d = 8..15 it is at most 128, its entry
+        # equals the accumulator and _add_mixed takes its doubling branch,
+        # one _dbl beyond v's 256 window doublings; for d = 1..7 it recodes
+        # to the negative digit -16 * d, which meets nothing. Each point is
         # given with its discrete log c, so the expected result is the
         # oracle's (u + c*v)*G.
         doublings = []
@@ -206,9 +214,11 @@ class TestBackend:
     def test_infinity_cases(self, impl):
         assert impl.base_mult(0) is None
         assert impl.base_mult(N) is None
+        assert impl.double_base_mult(0, 0, GX, GY) is None
         assert impl.double_base_mult(0, N, GX, GY) is None
         # u*G + (N-u)*G folds to infinity
         assert impl.double_base_mult(5, N - 5, GX, GY) is None
+        _assert_no_library_error(impl)
 
     def test_is_on_curve(self, impl):
         assert impl.is_on_curve(GX, GY)
@@ -231,9 +241,10 @@ class TestBackend:
         expected = _affine_add(_affine_mul(u % N, (GX, GY)),
                                _affine_mul(v % N, q))
         assert impl.double_base_mult(u, v, q[0], q[1]) == expected
-        big = (q[0] + P, q[1] + 2 * P)
-        assert impl.double_base_mult(u, v, *big) == expected
-        assert impl.double_base_mult(0, k, *big) == _affine_mul(k, q)
+        for big in ((q[0] + P, q[1] + 2 * P), (q[0] - P, q[1] - 5 * P),
+                    (q[0] + 2**300 * P, q[1])):
+            assert impl.double_base_mult(u, v, *big) == expected
+            assert impl.double_base_mult(0, k, *big) == _affine_mul(k, q)
         for x, y in ((-1, GY), (GX, -GY), (P, 0), (GX + P, GY), (GX, GY + P),
                      (2**256 + GX, GY)):
             assert impl.is_on_curve(x, y) is False, (x, y)
@@ -249,12 +260,14 @@ class TestBackend:
 
     def test_off_curve_point_raises(self, impl):
         # (0, 0) and (GX, GY + 1) are off the curve, and both kernels
-        # refuse them even when both scalars are zero; (GX, GY + P)
-        # reduces to G, so it is an on-curve input
+        # refuse them even when both scalars are zero, leaving no error
+        # behind in libcrypto; (GX, GY + P) reduces to G, so it is an
+        # on-curve input
         for x, y in ((0, 0), (GX, GY + 1)):
             for u, v in ((0, 0), (0, 7), (5, 7)):
                 with pytest.raises(ValueError):
                     impl.double_base_mult(u, v, x, y)
+                _assert_no_library_error(impl)
         expected = _affine_mul(5 + 7, (GX, GY))
         assert impl.double_base_mult(5, 7, GX, GY + P) == expected
         assert impl.double_base_mult(0, 0, GX, GY + P) is None
@@ -365,17 +378,48 @@ def test_backend_parity(compiled_kernel):
 
 
 def test_base_mult_every_table_entry(compiled_kernel):
-    """A scalar with one nonzero digit returns that comb entry itself.
-    d * 16**i (d = 1..15, i = 0..63) is each of the compiled kernel's
-    64 x 15 entries, and d * 256**i (d = 1..128, i = 0..31) each of the
-    pure kernel's 32 x 128. The pure kernel's 33rd row, 256**32 * G, is
-    reached only by a carry out of a top byte of 129 or more, as in N - 1.
-    Each kernel is checked against the other."""
-    ks = [d << 4 * i for i in range(64) for d in range(1, 16)]
-    ks += [d << 8 * i for i in range(32) for d in range(1, 129)]
+    """A scalar with one nonzero digit returns that comb entry itself:
+    d * 256**i (d = 1..128, i = 0..31) is each of the pure kernel's
+    32 x 128 entries. Its 33rd row, 256**32 * G, is reached only by a
+    carry out of a top byte of 129 or more, as in N - 1. Each entry is
+    checked against the compiled kernel."""
+    ks = [d << 8 * i for i in range(32) for d in range(1, 129)]
     ks.append(N - 1)
     for k in ks:
         assert compiled_kernel.base_mult(k) == pure.base_mult(k), hex(k)
+
+
+def test_compiled_kernel_under_threads(compiled_kernel):
+    """The compiled kernel works in libcrypto numbers and points allocated
+    once, and releases the GIL inside each libcrypto call. Its lock keeps
+    each call's result its own while threads switch as often as the
+    interpreter allows."""
+    rng = random.Random(15)
+    q = _oracle_base_mult(3)
+    jobs = [[rng.randrange(1, N) for _ in range(40)] for _ in range(4)]
+
+    def run(ks):
+        return [compiled_kernel.double_base_mult(k, 1, *q) if i % 8 == 0
+                else compiled_kernel.base_mult(k) for i, k in enumerate(ks)]
+
+    expected = [run(ks) for ks in jobs]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = run(jobs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
 
 
 def test_openssl_cross_check():
@@ -430,15 +474,15 @@ def _forget_verdicts():
 
 def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
                                               tmp_path):
-    """Both kernels write byte-identical artifacts for variants A and B and
-    for a session with a tamper and a stale replay, and give the same
-    checks when each written transcript is verified on the kernel, as in
-    a fresh process."""
-    configs = [sim.ScenarioConfig(seed=31),
-               sim.ScenarioConfig(seed=32, variant="B"),
-               sim.ScenarioConfig(seed=33, faults=(
-                   sim.FaultInjection(target=4, action="tamper", offset=3),
-                   sim.FaultInjection(target=2, action="replay")))]
+    """Both kernels write byte-identical artifacts for seeds 1-8 in
+    variants A and B and for a session with a tamper and a stale replay,
+    and give the same checks when each written transcript is verified on
+    the kernel, as in a fresh process."""
+    configs = [sim.ScenarioConfig(seed=seed, variant=variant)
+               for variant in ("A", "B") for seed in range(1, 9)]
+    configs.append(sim.ScenarioConfig(seed=33, faults=(
+        sim.FaultInjection(target=4, action="tamper", offset=3),
+        sim.FaultInjection(target=2, action="replay"))))
     compiled_calls = []
     kernel_double_base_mult = compiled_kernel.double_base_mult
 
@@ -447,7 +491,6 @@ def test_transcripts_identical_across_backends(compiled_kernel, monkeypatch,
         return kernel_double_base_mult(*args)
 
     monkeypatch.setattr(compiled_kernel, "double_base_mult", counted)
-    monkeypatch.setattr(backend, "_speedups", compiled_kernel)
     monkeypatch.setattr(backend, "_active", backend._active)
     checks = {}
     try:

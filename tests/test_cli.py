@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmisim import sim
+from tmisim import backend, sim
 from tmisim.backend import B, P
 from tmisim.cli import _build_parser, main
 from tmisim.errors import MalformedMessage
@@ -457,10 +457,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: f"{g['seed']}{g['variant']}")
+def _golden_id(golden):
+    return f"{golden['seed']}{golden['variant']}"
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=_golden_id)
 def test_golden_sessions_are_byte_identical(golden, tmp_path, capsys):
     """`simulate` writes the benchmark's golden artifact bytes, and
-    `attack` over them prints and writes the bytes it always has."""
+    `attack` over them prints and writes the bytes it always has, on the
+    active kernel: the compiled one unless it did not load or
+    TMISIM_EC_BACKEND says otherwise."""
+    _check_golden(golden, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=_golden_id)
+def test_golden_sessions_on_the_pure_kernel(golden, tmp_path, capsys,
+                                           monkeypatch):
+    """The same bytes from the pure kernel, the fallback that the default
+    selection does not run."""
+    monkeypatch.setattr(backend, "_active", backend._active)
+    backend.use("pure")
+    _check_golden(golden, tmp_path, capsys)
+
+
+def _check_golden(golden, tmp_path, capsys):
     seed, variant = golden["seed"], golden["variant"]
     out = tmp_path / "run"
     assert main(["simulate", "--seed", str(seed), "--variant", variant,
